@@ -12,18 +12,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import astuple
 
 from .detector import DetectorParams, validity_check
-from .measures import CrossCheckError, CROSS_CHECK_TOL
+from .measures import CROSS_CHECK_TOL, CrossCheckError, GridValues, evaluate_grid
 from .sweep import (
     DEFAULT_Q_MAX,
-    SweepRecord,
+    MAX_STEPS,
     SweepSpec,
-    evaluate_point,
     figure_preset,
     find_qfe_peak,
     oracle_scan,
-    run_sweep,
+    sweep_grid,
 )
 
 CSV_HEADER = "q,theta,nu,mu,upsilon,eta,concurrence,entropy,qfe,ratio"
@@ -119,20 +119,20 @@ def _format_real(value: float) -> str:
     return "%#.9g" % value
 
 
-def _record_line(record: SweepRecord) -> str:
-    fields = [
-        _format_real(record.q),
-        _format_real(record.theta),
-        _format_real(record.nu),
-        _format_real(record.mu),
-        _format_real(record.upsilon),
-        _format_real(record.eta),
-        _format_real(record.concurrence),
-        _format_real(record.entropy),
-        _format_real(record.qfe),
-        "" if record.ratio is None else _format_real(record.ratio),
-    ]
-    return ",".join(fields)
+_REALS = ",".join(["%#.9g"] * 9)
+_CHUNK_ROWS = 1024  # grid rows turned into Python floats at a time; bounds peak memory
+
+
+def _csv_line(row) -> str:
+    """(q, theta, nu, mu, upsilon, eta, C, S, QFE, ratio); a None or NaN ratio is blank."""
+    ratio = row[9]
+    tail = "," if ratio is None or ratio != ratio else ",%#.9g" % ratio
+    return _REALS % row[:9] + tail
+
+
+def _grid_rows(grid: GridValues):
+    for start in range(0, len(grid.q), _CHUNK_ROWS):
+        yield from zip(*(column[start:start + _CHUNK_ROWS].tolist() for column in grid))
 
 
 def _emit(lines: list[str], destination: str | None) -> None:
@@ -144,9 +144,17 @@ def _emit(lines: list[str], destination: str | None) -> None:
             handle.write(text)
 
 
-def write_csv(records: list[SweepRecord], destination: str | None = None) -> None:
-    """Emit records under the fixed header; ``None`` writes to stdout."""
-    _emit([CSV_HEADER] + [_record_line(r) for r in records], destination)
+def write_csv(records, destination: str | None = None) -> None:
+    """Emit rows under the fixed header; ``None`` writes to stdout.
+
+    ``records`` is an evaluated grid, formatted column-wise without a
+    record per row, or a list of ``SweepRecord``.
+    """
+    if isinstance(records, GridValues):
+        rows = _grid_rows(records)
+    else:
+        rows = (astuple(record) for record in records)
+    _emit([CSV_HEADER] + [_csv_line(row) for row in rows], destination)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -184,7 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--variable", choices=("q", "theta"))
     p_sweep.add_argument("--min", type=_parse_float, help="sweep lower bound")
     p_sweep.add_argument("--max", type=_parse_float, help="sweep upper bound")
-    p_sweep.add_argument("--steps", type=_parse_int, help="number of grid points")
+    p_sweep.add_argument(
+        "--steps", type=_parse_int, help=f"number of grid points, 2 to {MAX_STEPS}"
+    )
     p_sweep.add_argument("--oracle", action="store_true", default=None)
 
     p_figure = sub.add_parser("figure", help="run a preset collection of sweeps")
@@ -217,6 +227,11 @@ def _option(args, config, key, default=None):
 def _make_params(args, config) -> DetectorParams:
     omega = _option(args, config, "omega")
     accel = _option(args, config, "accel")
+    if (omega is None) != (accel is None):
+        given, missing = ("omega", "accel") if accel is None else ("accel", "omega")
+        raise ValueError(
+            f"--{given} needs --{missing}: q = exp(-2*pi*omega/accel) takes both"
+        )
     q = _option(args, config, "q")
     if q is None and not (omega is not None and accel is not None):
         q = DEFAULT_Q
@@ -238,8 +253,8 @@ def _run_state(args, config) -> int:
     params = _make_params(args, config)
     _warn_validity(params)
     cross_check = bool(_option(args, config, "oracle", False))
-    record = evaluate_point(params, cross_check=cross_check)
-    write_csv([record], _option(args, config, "output"))
+    grid = evaluate_grid(params.theta, params.nu, params.q, cross_check=cross_check)
+    write_csv(grid, _option(args, config, "output"))
     return 0
 
 
@@ -253,8 +268,8 @@ def _run_sweep(args, config) -> int:
     params = _make_params(args, config)
     _warn_validity(params)
     spec = SweepSpec(variable=variable, min=lo, max=hi, steps=steps, fixed=params)
-    records = run_sweep(spec, cross_check=bool(_option(args, config, "oracle", False)))
-    write_csv(records, _option(args, config, "output"))
+    grid = sweep_grid([spec], cross_check=bool(_option(args, config, "oracle", False)))
+    write_csv(grid, _option(args, config, "output"))
     return 0
 
 
@@ -263,10 +278,8 @@ def _run_figure(args, config) -> int:
     if which is None:
         raise ValueError("figure requires --which (fig1, fig2 or fig3)")
     cross_check = bool(_option(args, config, "oracle", False))
-    records = []
-    for spec in figure_preset(which):
-        records.extend(run_sweep(spec, cross_check=cross_check))
-    write_csv(records, _option(args, config, "output"))
+    write_csv(sweep_grid(figure_preset(which), cross_check=cross_check),
+              _option(args, config, "output"))
     return 0
 
 
@@ -301,14 +314,19 @@ def _run_check(args, config) -> int:
         ],
         _option(args, config, "output"),
     )
-    if result.max_concurrence_deviation > CROSS_CHECK_TOL:
-        print(
-            f"error: concurrence routes deviate by "
-            f"{result.max_concurrence_deviation:.3e} (tolerance {CROSS_CHECK_TOL:g})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    status = 0
+    for name, deviation in (
+        ("concurrence", result.max_concurrence_deviation),
+        ("entropy", result.max_entropy_deviation),
+    ):
+        if not deviation <= CROSS_CHECK_TOL:
+            print(
+                f"error: {name} routes deviate by {deviation:.3e} "
+                f"(tolerance {CROSS_CHECK_TOL:g})",
+                file=sys.stderr,
+            )
+            status = 1
+    return status
 
 
 _DISPATCH = {

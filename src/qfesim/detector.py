@@ -124,36 +124,62 @@ class JointState:
     params: DetectorParams
 
 
-def model_weights(params: DetectorParams) -> tuple[float, float, float]:
-    """Statistical weights (mu, upsilon, eta) of the final joint state.
+def _point_name(theta, nu, q, index) -> str:
+    theta, nu, q = (float(np.ravel(v)[index]) for v in np.broadcast_arrays(theta, nu, q))
+    return f"(theta, nu, q) = ({theta!r}, {nu!r}, {q!r})"
 
-    ``eta`` is the emission weight (vanishes at theta = 0) and ``upsilon``
-    the thermal-excitation weight (vanishes at q = 0); they satisfy
-    2*mu + upsilon + eta = 1.
+
+def weights_grid(theta, nu, q):
+    """Statistical weights (mu, upsilon, eta) at every point of (theta, nu, q).
+
+    The inputs are scalars or arrays that broadcast together.  ``eta`` is
+    the emission weight (vanishes at theta = 0) and ``upsilon`` the
+    thermal-excitation weight (vanishes at q = 0); they satisfy
+    2*mu + upsilon + eta = 1.  A point outside the model's domain raises
+    ValueError, and one whose weights miss that sum by more than 1e-12
+    raises RuntimeError; both name the first such point.
     """
-    s = math.sin(params.theta)
-    c = math.cos(params.theta)
+    theta, nu, q = (np.asarray(v, dtype=float) for v in (theta, nu, q))
+    valid = np.isfinite(theta) & (nu >= 0.0) & (nu * nu < 1.0) & (q >= 0.0) & (q < 1.0)
+    if not valid.all():
+        raise ValueError(
+            f"point {_point_name(theta, nu, q, int(np.argmin(valid)))} is outside the "
+            f"model's domain: theta finite, nu >= 0 with nu**2 < 1, and q in [0, 1)"
+        )
+    s = np.sin(theta)
+    c = np.cos(theta)
     s2 = s * s
     c2 = c * c
-    nu2 = params.nu * params.nu
-    d = (1.0 - params.q) + nu2 * (s2 + params.q * c2)
-    mu = (1.0 - params.q) / (2.0 * d)
-    upsilon = nu2 * params.q * c2 / d
+    nu2 = nu * nu
+    d = (1.0 - q) + nu2 * (s2 + q * c2)
+    mu = (1.0 - q) / (2.0 * d)
+    upsilon = nu2 * q * c2 / d
     eta = nu2 * s2 / d
+    total = 2.0 * mu + upsilon + eta
+    off = np.abs(total - 1.0) > _WEIGHT_SUM_TOL
+    if off.any():
+        i = int(np.argmax(off))
+        raise RuntimeError(
+            f"weight normalization violated: 2*mu+upsilon+eta = "
+            f"{float(np.ravel(total)[i])!r} at {_point_name(theta, nu, q, i)}"
+        )
     return mu, upsilon, eta
 
 
-def build_final_state(params: DetectorParams) -> JointState:
-    """Assemble the joint state in the basis |00>, |01>, |10>, |11>.
+def model_weights(params: DetectorParams) -> tuple[float, float, float]:
+    """Weights (mu, upsilon, eta) of one parameter point; see :func:`weights_grid`."""
+    return tuple(float(w) for w in weights_grid(params.theta, params.nu, params.q))
+
+
+def x_state_rho(theta: float, mu: float, upsilon: float, eta: float) -> np.ndarray:
+    """Read-only joint state in the basis |00>, |01>, |10>, |11>.
 
     The only nonzero entries are the diagonal (eta, 2 mu sin^2 theta,
     2 mu cos^2 theta, upsilon) and the real coherence mu sin(2 theta) at
-    positions (1, 2) and (2, 1).  At nu = 0 this is exactly the projector
-    onto the initial pure state.
+    positions (1, 2) and (2, 1).
     """
-    mu, upsilon, eta = model_weights(params)
-    s = math.sin(params.theta)
-    c = math.cos(params.theta)
+    s = math.sin(theta)
+    c = math.cos(theta)
     rho = np.zeros((4, 4), dtype=np.complex128)
     rho[0, 0] = eta
     rho[1, 1] = 2.0 * mu * (s * s)
@@ -162,10 +188,17 @@ def build_final_state(params: DetectorParams) -> JointState:
     rho[1, 2] = coherence
     rho[2, 1] = coherence
     rho[3, 3] = upsilon
-    total = 2.0 * mu + upsilon + eta
-    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-        raise RuntimeError(f"weight normalization violated: 2*mu+upsilon+eta = {total!r}")
     rho.flags.writeable = False
+    return rho
+
+
+def build_final_state(params: DetectorParams) -> JointState:
+    """Assemble the joint state of one parameter point (see :func:`x_state_rho`).
+
+    At nu = 0 this is exactly the projector onto the initial pure state.
+    """
+    mu, upsilon, eta = model_weights(params)
+    rho = x_state_rho(params.theta, mu, upsilon, eta)
     return JointState(rho=rho, mu=mu, upsilon=upsilon, eta=eta, params=params)
 
 

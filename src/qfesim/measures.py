@@ -1,31 +1,37 @@
 """Entanglement measures and the entanglement fluctuation.
 
-Two routes to the two-qubit concurrence are kept deliberately separate:
+Two routes to the measures are kept deliberately separate:
 
-* :func:`concurrence_analytic` evaluates the closed form available for the
-  X-shaped joint state produced by :mod:`qfesim.detector`;
-* :func:`concurrence_numeric` runs the generic spin-flip construction,
-  C = max(0, r1 - r2 - r3 - r4) with r_i the descending eigenvalues of
-  R = sqrt(sqrt(rho) rho~ sqrt(rho)), rho~ = (sy x sy) conj(rho) (sy x sy).
+* the closed forms of the X-shaped joint state produced by
+  :mod:`qfesim.detector`, evaluated for a whole grid of points at once by
+  :func:`evaluate_grid` (:func:`concurrence_analytic` is the one-state
+  form);
+* the generic matrix route: :func:`concurrence_numeric` runs the spin-flip
+  construction C = max(0, r1 - r2 - r3 - r4) with r_i the descending
+  eigenvalues of R = sqrt(sqrt(rho) rho~ sqrt(rho)),
+  rho~ = (sy x sy) conj(rho) (sy x sy), and :func:`von_neumann_entropy`
+  takes the entropy of a Jacobi spectrum.
 
-The two must agree to 1e-9; ``measure_state(..., cross_check=True)``
-enforces that per point.  Entropies and fluctuations are in bits.
+The two must agree to 1e-9; ``evaluate_grid(..., cross_check=True)``
+enforces that per point for the concurrence and the entropy.  Entropies
+and fluctuations are in bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .detector import JointState
+from .detector import JointState, _point_name, weights_grid, x_state_rho
 from .qmatrix import (
     EIGENVALUE_FLOOR,
+    EigenDecomposition,
     _as_matrix,
     check_density_matrix,
     hermitian_eigen,
-    matrix_sqrt_psd,
     partial_trace,
 )
 
@@ -38,7 +44,7 @@ _DEFAULT_PURITY_TOL = 1e-6
 
 
 class CrossCheckError(RuntimeError):
-    """Analytic and numeric concurrence disagree beyond tolerance."""
+    """A closed form and the matrix route disagree beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,141 @@ class MeasureSet:
     ratio: float | None
 
 
+class GridValues(NamedTuple):
+    """Weights and measures of evaluated points, one array per CSV column.
+
+    ``ratio`` is NaN wherever the concurrence is at or below 1e-12.
+    """
+
+    q: np.ndarray
+    theta: np.ndarray
+    nu: np.ndarray
+    mu: np.ndarray
+    upsilon: np.ndarray
+    eta: np.ndarray
+    concurrence: np.ndarray
+    entropy: np.ndarray
+    qfe: np.ndarray
+    ratio: np.ndarray
+
+
+def _log2(x) -> np.ndarray:
+    """``math.log2`` elementwise.
+
+    numpy's log2 differs from libm's in the last bit for about two inputs
+    in a thousand.  The peak search's golden-section path, and so its
+    printed location, turns on last-bit comparisons near the flat top, so
+    the fluctuation keeps the bits of the scalar formula.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _entropy_bits(probabilities) -> np.ndarray:
+    """-sum p log2 p over the last axis, p clipped to [0, 1] and 0 log 0 = 0.
+
+    Subtracting from +0.0 makes a pure spectrum give 0.0, never -0.0.
+    """
+    p = np.clip(probabilities, 0.0, 1.0)
+    return 0.0 - (p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
+def _x_concurrence(theta, mu, upsilon, eta):
+    """max(0, 2 mu |sin 2theta| - 2 sqrt(eta upsilon)), clamped to [0, 1]."""
+    s = np.sin(theta)
+    c = np.cos(theta)
+    value = 2.0 * mu * np.abs(2.0 * s * c) - 2.0 * np.sqrt(eta * upsilon)
+    return np.minimum(1.0, np.maximum(0.0, value))
+
+
+def _x_spin_flip_squares(theta, mu, upsilon, eta) -> np.ndarray:
+    """{4 mu^2 sin^2(2 theta), eta upsilon, eta upsilon, 0} along a last axis, descending."""
+    s = np.sin(theta)
+    c = np.cos(theta)
+    big = (2.0 * mu * (2.0 * s * c)) ** 2
+    cross = eta * upsilon
+    lam = np.stack(np.broadcast_arrays(big, cross, cross, 0.0), axis=-1)
+    return -np.sort(-lam, axis=-1)
+
+
+def _qfe_and_ratio(c):
+    """Fluctuation, and QFE/C (NaN where undefined), of concurrences in [0, 1]."""
+    c = np.asarray(c, dtype=float)
+    defined = c > RATIO_THRESHOLD
+    safe = np.where(defined, c, 1.0)
+    root = np.sqrt(np.maximum(0.0, 1.0 - safe * safe))
+    qfe = np.where(defined, safe * _log2((1.0 + root) / safe), 0.0)
+    return qfe, np.where(defined, qfe / safe, np.nan)
+
+
+def evaluate_grid(
+    theta,
+    nu,
+    q,
+    *,
+    cross_check: bool = False,
+    cross_check_tol: float = CROSS_CHECK_TOL,
+) -> GridValues:
+    """Weights, concurrence, entropy, fluctuation and ratio at every point.
+
+    ``theta``, ``nu`` and ``q`` are scalars or arrays that broadcast
+    together; the result holds 1-D arrays in that broadcast order.
+    Everything is closed form.  The entropy comes from the X-state
+    spectrum {eta, upsilon, 2 mu, 0}: the coherent block
+    [[2 mu s^2, mu sin 2theta], [mu sin 2theta, 2 mu c^2]] has eigenvalues
+    {2 mu, 0}.
+
+    With ``cross_check`` each point's concurrence and entropy are compared
+    with the matrix route (:func:`oracle_deviations`); a deviation beyond
+    ``cross_check_tol`` raises :class:`CrossCheckError` naming the point.
+    """
+    points = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (theta, nu, q)))
+    theta, nu, q = (np.ravel(v) for v in points)
+    mu, upsilon, eta = weights_grid(theta, nu, q)
+    c = _x_concurrence(theta, mu, upsilon, eta)
+    entropy = _entropy_bits(np.stack((2.0 * mu, eta, upsilon), axis=-1))
+    qfe, ratio = _qfe_and_ratio(c)
+    grid = GridValues(q, theta, nu, mu, upsilon, eta, c, entropy, qfe, ratio)
+    if cross_check:
+        deviations = oracle_deviations(grid)[:, :2]
+        bad = deviations > cross_check_tol
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            name, closed = (("concurrence", c), ("entropy", entropy))[j]
+            raise CrossCheckError(
+                f"closed-form {name} {float(closed[i])!r} deviates from the matrix route "
+                f"by {deviations[i, j]:.3e} (tolerance {cross_check_tol:g}) "
+                f"at {_point_name(theta, nu, q, i)}"
+            )
+    return grid
+
+
+def oracle_deviations(grid: GridValues) -> np.ndarray:
+    """|closed form - matrix route| per point, shape (N, 3).
+
+    Columns: concurrence, entropy, and the worst entry of the squared
+    spin-flip spectrum against {4 mu^2 sin^2 2theta, eta upsilon,
+    eta upsilon, 0}.  Each point's state is rebuilt from its weights and
+    costs two Jacobi solves: one of rho, giving the entropy, and one in
+    :func:`wootters_spectrum`.  A ValueError from the matrix route names
+    the point.
+    """
+    lam = _x_spin_flip_squares(grid.theta, grid.mu, grid.upsilon, grid.eta)
+    out = np.empty((len(grid.theta), 3))
+    points = zip(*(col.tolist() for col in (grid.theta, grid.mu, grid.upsilon, grid.eta)))
+    for i, (theta, mu, upsilon, eta) in enumerate(points):
+        rho = x_state_rho(theta, mu, upsilon, eta)
+        try:
+            eig = hermitian_eigen(rho)
+            r = wootters_spectrum(rho, eig)
+        except ValueError as exc:
+            raise ValueError(f"{exc} at {_point_name(grid.theta, grid.nu, grid.q, i)}") from None
+        out[i, 0] = abs(float(grid.concurrence[i]) - _wootters_concurrence(r))
+        out[i, 1] = abs(float(grid.entropy[i]) - float(_entropy_bits(eig.eigenvalues)))
+        out[i, 2] = np.abs(lam[i] - r**2).max()
+    return out
+
+
 def spin_flip(rho) -> np.ndarray:
     """(sy x sy) conj(rho) (sy x sy); an involution on 4x4 matrices."""
     m = _as_matrix(rho)
@@ -63,24 +204,41 @@ def spin_flip(rho) -> np.ndarray:
     return FLIP_OPERATOR @ m.conj() @ FLIP_OPERATOR
 
 
-def wootters_spectrum(rho) -> np.ndarray:
-    """Descending eigenvalues of R = sqrt(sqrt(rho) rho~ sqrt(rho)).
+def wootters_spectrum(rho, eig: EigenDecomposition | None = None) -> np.ndarray:
+    """Descending eigenvalues r_i of R = sqrt(sqrt(rho) rho~ sqrt(rho)).
 
-    These are the square roots of the spectrum of rho @ rho~; staying with
-    the Hermitian R keeps all spectral work inside the Jacobi solver.
+    One Jacobi solve rho = V diag(p) V+ (``eig``, reused when given) gives
+    W = V diag(sqrt p) with rho = W W+.  The r_i are the singular values
+    of tau = W^T (sy x sy) W, since tau+ tau is similar to rho rho~.  For
+    real rho (every detector state) tau is real symmetric and r_i are the
+    moduli of its eigenvalues, so nothing is squared and small r_i keep
+    their relative accuracy; a complex tau falls back to
+    sqrt(eig(tau+ tau)).
     """
     m = check_density_matrix(rho, require_psd=False)
     if m.shape[0] != 4:
         raise ValueError("the spin-flip spectrum is defined for 4x4 density matrices")
-    root = matrix_sqrt_psd(m)  # also gates positivity of the input
-    r_matrix = matrix_sqrt_psd(root @ spin_flip(m) @ root)
-    return np.maximum(hermitian_eigen(r_matrix).eigenvalues, 0.0)
+    p, vecs = hermitian_eigen(m) if eig is None else eig
+    if p[-1] < EIGENVALUE_FLOOR:
+        raise ValueError(
+            f"density matrix must be positive semidefinite: smallest eigenvalue {p[-1]:.3e}"
+        )
+    w = vecs * np.sqrt(np.maximum(p, 0.0))
+    tau = w.T @ FLIP_OPERATOR @ w
+    if np.any(tau.imag):
+        r = np.sqrt(np.maximum(hermitian_eigen(tau.conj().T @ tau).eigenvalues, 0.0))
+    else:
+        r = np.abs(hermitian_eigen(tau).eigenvalues)
+    return np.sort(r)[::-1]
+
+
+def _wootters_concurrence(r) -> float:
+    return min(1.0, max(0.0, float(r[0] - r[1] - r[2] - r[3])))
 
 
 def concurrence_numeric(rho) -> float:
     """Concurrence from the spin-flip spectrum, clamped to [0, 1]."""
-    r = wootters_spectrum(rho)
-    return min(1.0, max(0.0, float(r[0] - r[1] - r[2] - r[3])))
+    return _wootters_concurrence(wootters_spectrum(rho))
 
 
 def concurrence_analytic(state: JointState) -> float:
@@ -90,10 +248,7 @@ def concurrence_analytic(state: JointState) -> float:
     {2 mu |sin 2theta|, sqrt(eta upsilon), sqrt(eta upsilon), 0}, so
     C = max(0, 2 mu |sin 2theta| - 2 sqrt(eta upsilon)).
     """
-    s = math.sin(state.params.theta)
-    c = math.cos(state.params.theta)
-    value = 2.0 * state.mu * abs(2.0 * s * c) - 2.0 * math.sqrt(state.eta * state.upsilon)
-    return min(1.0, max(0.0, value))
+    return float(_x_concurrence(state.params.theta, state.mu, state.upsilon, state.eta))
 
 
 def analytic_eigenvalues(state: JointState) -> np.ndarray:
@@ -102,11 +257,7 @@ def analytic_eigenvalues(state: JointState) -> np.ndarray:
     Returns {4 mu^2 sin^2(2 theta), eta*upsilon, eta*upsilon, 0} sorted;
     must match the squared numeric spin-flip spectrum to 1e-10.
     """
-    s = math.sin(state.params.theta)
-    c = math.cos(state.params.theta)
-    big = (2.0 * state.mu * (2.0 * s * c)) ** 2
-    cross = state.eta * state.upsilon
-    return np.array(sorted((big, cross, cross, 0.0), reverse=True))
+    return _x_spin_flip_squares(state.params.theta, state.mu, state.upsilon, state.eta)
 
 
 def _require_pure(psi_rho, tolerance: float) -> np.ndarray:
@@ -128,7 +279,7 @@ def pure_concurrence(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
 
 
 def von_neumann_entropy(rho) -> float:
-    """-sum p log2 p over the spectrum, with the convention 0 log 0 = 0."""
+    """-sum p log2 p over the Jacobi spectrum, with the convention 0 log 0 = 0."""
     m = check_density_matrix(rho, require_psd=False)
     w = hermitian_eigen(m).eigenvalues
     if w[-1] < EIGENVALUE_FLOOR:
@@ -136,8 +287,7 @@ def von_neumann_entropy(rho) -> float:
             f"density matrix must be positive semidefinite: "
             f"smallest eigenvalue {w[-1]:.3e}"
         )
-    probs = np.clip(w, 0.0, 1.0)
-    return float(-sum(p * math.log2(p) for p in probs if p > 0.0))
+    return float(_entropy_bits(w))
 
 
 def entanglement_entropy_pure(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
@@ -158,10 +308,7 @@ def qfe_from_concurrence(c: float) -> float:
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"concurrence must lie in [0, 1], got {c}")
-    if c <= RATIO_THRESHOLD:
-        return 0.0
-    root = math.sqrt(max(0.0, 1.0 - c * c))
-    return c * math.log2((1.0 + root) / c)
+    return float(_qfe_and_ratio(c)[0])
 
 
 def qfe_variance_pure(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
@@ -186,21 +333,20 @@ def measure_state(
     cross_check: bool = False,
     cross_check_tol: float = CROSS_CHECK_TOL,
 ) -> MeasureSet:
-    """Bundle the measures for one parameter point.
+    """Measures of one parameter point: :func:`evaluate_grid` at ``state.params``.
 
-    With ``cross_check`` enabled the closed-form concurrence is verified
-    against the numeric spin-flip route; a deviation beyond
-    ``cross_check_tol`` raises :class:`CrossCheckError`.
+    With ``cross_check`` enabled the concurrence and entropy are verified
+    against the matrix route; a deviation beyond ``cross_check_tol``
+    raises :class:`CrossCheckError`.
     """
-    c = concurrence_analytic(state)
-    if cross_check:
-        numeric = concurrence_numeric(state.rho)
-        if abs(c - numeric) > cross_check_tol:
-            raise CrossCheckError(
-                f"analytic concurrence {c!r} deviates from the numeric value "
-                f"{numeric!r} by {abs(c - numeric):.3e}"
-            )
-    entropy = von_neumann_entropy(state.rho)
-    qfe = qfe_from_concurrence(c)
-    ratio = qfe / c if c > RATIO_THRESHOLD else None
-    return MeasureSet(concurrence=c, entropy=entropy, qfe=qfe, ratio=ratio)
+    p = state.params
+    grid = evaluate_grid(
+        p.theta, p.nu, p.q, cross_check=cross_check, cross_check_tol=cross_check_tol
+    )
+    ratio = float(grid.ratio[0])
+    return MeasureSet(
+        concurrence=float(grid.concurrence[0]),
+        entropy=float(grid.entropy[0]),
+        qfe=float(grid.qfe[0]),
+        ratio=None if math.isnan(ratio) else ratio,
+    )

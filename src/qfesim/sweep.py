@@ -11,14 +11,15 @@ import numpy as np
 
 from .detector import DetectorParams, build_final_state
 from .measures import (
-    analytic_eigenvalues,
+    GridValues,
     concurrence_analytic,
-    measure_state,
+    evaluate_grid,
+    oracle_deviations,
     qfe_from_concurrence,
-    wootters_spectrum,
 )
 
 DEFAULT_Q_MAX = 0.9999
+MAX_STEPS = 1_000_000  # grid points per sweep; bounds the memory a sweep can ask for
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _COARSE_STEPS = 2000
@@ -45,8 +46,8 @@ class SweepSpec:
             raise ValueError("sweep bounds must be finite")
         if not self.min < self.max:
             raise ValueError(f"sweep needs min < max, got [{self.min}, {self.max}]")
-        if self.steps < 2:
-            raise ValueError(f"steps must be at least 2, got {self.steps}")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"steps must lie in [2, {MAX_STEPS}], got {self.steps}")
         if self.variable == "q" and not (0.0 <= self.min and self.max < 1.0):
             raise ValueError(
                 f"q sweep bounds must lie in [0, 1), got [{self.min}, {self.max}]"
@@ -54,6 +55,10 @@ class SweepSpec:
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.min, self.max, self.steps)
+
+    def points(self) -> tuple:
+        """(theta, nu, q) of the grid points, the fixed ones as scalars."""
+        return _along(self.fixed, self.variable, self.grid())
 
 
 @dataclass(frozen=True)
@@ -87,42 +92,39 @@ class OracleScan(NamedTuple):
     max_concurrence_deviation: float
     max_eigenvalue_deviation: float
     points: int
+    max_entropy_deviation: float
 
 
-def _point_params(spec: SweepSpec, x: float) -> DetectorParams:
-    if spec.variable == "q":
-        return DetectorParams(theta=spec.fixed.theta, nu=spec.fixed.nu, q=float(x))
-    return DetectorParams(theta=float(x), nu=spec.fixed.nu, q=spec.fixed.q)
+def _along(fixed: DetectorParams, variable: str, x):
+    """(theta, nu, q) of ``fixed`` with the swept ``variable`` set to ``x``."""
+    if variable == "q":
+        return fixed.theta, fixed.nu, x
+    return x, fixed.nu, fixed.q
+
+
+def _records(grid: GridValues) -> list[SweepRecord]:
+    return [
+        SweepRecord(*row[:9], ratio=None if math.isnan(row[9]) else row[9])
+        for row in zip(*(column.tolist() for column in grid))
+    ]
+
+
+def sweep_grid(specs, *, cross_check: bool = False) -> GridValues:
+    """Evaluate sweeps as one grid, rows in spec order and then grid order."""
+    columns = [np.broadcast_arrays(*spec.points()) for spec in specs]
+    theta, nu, q = (np.concatenate(column) for column in zip(*columns))
+    return evaluate_grid(theta, nu, q, cross_check=cross_check)
 
 
 def evaluate_point(params: DetectorParams, *, cross_check: bool = False) -> SweepRecord:
     """Measures and weights for a single parameter point."""
-    state = build_final_state(params)
-    ms = measure_state(state, cross_check=cross_check)
-    return SweepRecord(
-        q=params.q,
-        theta=params.theta,
-        nu=params.nu,
-        mu=state.mu,
-        upsilon=state.upsilon,
-        eta=state.eta,
-        concurrence=ms.concurrence,
-        entropy=ms.entropy,
-        qfe=ms.qfe,
-        ratio=ms.ratio,
-    )
+    grid = evaluate_grid(params.theta, params.nu, params.q, cross_check=cross_check)
+    return _records(grid)[0]
 
 
 def run_sweep(spec: SweepSpec, *, cross_check: bool = False) -> list[SweepRecord]:
-    """Evaluate the grid in ascending order.
-
-    Points are independent, so evaluation could be parallelized; output is
-    deterministic and assembled in grid order either way.
-    """
-    return [
-        evaluate_point(_point_params(spec, x), cross_check=cross_check)
-        for x in spec.grid()
-    ]
+    """Evaluate the grid in ascending order, one record per point."""
+    return _records(sweep_grid([spec], cross_check=cross_check))
 
 
 def figure_preset(which: str) -> list[SweepSpec]:
@@ -183,11 +185,9 @@ def golden_section_max(
 
 
 def _qfe_at(fixed: DetectorParams, variable: str, x: float) -> float:
-    if variable == "q":
-        params = DetectorParams(theta=fixed.theta, nu=fixed.nu, q=float(x))
-    else:
-        params = DetectorParams(theta=float(x), nu=fixed.nu, q=fixed.q)
-    return qfe_from_concurrence(concurrence_analytic(build_final_state(params)))
+    theta, nu, q = _along(fixed, variable, float(x))
+    state = build_final_state(DetectorParams(theta=theta, nu=nu, q=q))
+    return qfe_from_concurrence(concurrence_analytic(state))
 
 
 def find_qfe_peak(
@@ -215,7 +215,7 @@ def find_qfe_peak(
         raise ValueError("bracket must be finite")
 
     xs = np.linspace(lo, hi, _COARSE_STEPS)
-    vals = np.array([_qfe_at(fixed, variable, x) for x in xs])
+    vals = evaluate_grid(*_along(fixed, variable, xs)).qfe
     i = int(np.argmax(vals))
     bracket_lo = float(xs[max(i - 1, 0)])
     bracket_hi = float(xs[min(i + 1, len(xs) - 1)])
@@ -239,33 +239,24 @@ def oracle_scan(
     q_points: int = 100,
     q_max: float = 0.999,
 ) -> OracleScan:
-    """Compare closed-form concurrence and spectrum against the matrix route.
+    """Compare the closed forms against the matrix route.
 
-    Runs the standard validation grid (theta x nu x q) and returns the
-    worst absolute deviations; the concurrence routes must agree to 1e-9
-    and the spectra to 1e-10.
+    Runs the standard validation grid (theta x nu x q), one q row at a
+    time, and returns the worst absolute deviations; the concurrence
+    routes must agree to 1e-9, the spectra to 1e-10 and the entropies to
+    1e-10.
     """
     thetas = np.linspace(0.0, math.pi / 2.0, theta_points)
     qs = np.linspace(0.0, q_max, q_points)
-    worst_c = 0.0
-    worst_lam = 0.0
-    count = 0
+    worst = np.zeros(3)
     for nu in nu_values:
         for theta in thetas:
-            for q in qs:
-                params = DetectorParams(theta=float(theta), nu=float(nu), q=float(q))
-                state = build_final_state(params)
-                spectrum = wootters_spectrum(state.rho)
-                numeric_c = min(
-                    1.0,
-                    max(0.0, float(spectrum[0] - spectrum[1] - spectrum[2] - spectrum[3])),
-                )
-                worst_c = max(worst_c, abs(concurrence_analytic(state) - numeric_c))
-                deviation = np.abs(analytic_eigenvalues(state) - spectrum**2).max()
-                worst_lam = max(worst_lam, float(deviation))
-                count += 1
+            deviations = oracle_deviations(evaluate_grid(theta, nu, qs))
+            worst = np.maximum(worst, deviations.max(axis=0, initial=0.0))
+    c, entropy, spectrum = worst.tolist()
     return OracleScan(
-        max_concurrence_deviation=worst_c,
-        max_eigenvalue_deviation=worst_lam,
-        points=count,
+        max_concurrence_deviation=c,
+        max_eigenvalue_deviation=spectrum,
+        points=len(nu_values) * len(thetas) * len(qs),
+        max_entropy_deviation=entropy,
     )

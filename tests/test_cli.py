@@ -241,3 +241,75 @@ def test_stderr_gets_validity_warnings(capsys):
     captured = capsys.readouterr()
     assert "warning:" in captured.err
     assert "warning" not in captured.out
+
+
+REPRO_ORACLE_SWEEP = [
+    "sweep", "--variable", "theta", "--min", "0.0", "--max", "1.5707963267948966",
+    "--steps", "1001", "--theta", "0.0", "--nu", "0.0001232179123712207",
+    "--q", "0.959146319643572", "--oracle",
+]
+
+
+def test_oracle_sweep_at_small_coupling(capsys):
+    # the matrix route once lost sqrt(eta upsilon) ~ 1e-8 here and exited 1
+    assert cli.main(REPRO_ORACLE_SWEEP) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == 1 + 1001
+
+
+def test_oracle_failure_names_the_point(monkeypatch, capsys):
+    from qfesim import measures
+
+    real = measures.wootters_spectrum
+    monkeypatch.setattr(
+        measures, "wootters_spectrum",
+        lambda rho, eig=None: real(rho, eig) + [1e-6, 0.0, 0.0, 0.0],
+    )
+    code = cli.main(["sweep", "--variable", "q", "--min", "0.2", "--max", "0.5",
+                     "--steps", "4", "--theta", "0.5", "--nu", "0.05", "--oracle"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "(theta, nu, q) = (0.5, 0.05, 0.2)" in captured.err
+
+
+@pytest.mark.parametrize("variable, bounds", [("theta", ("0", "1.5707963267948966")),
+                                              ("q", ("0", "0.9999"))])
+def test_pure_state_rows_print_zero_entropy(capsys, variable, bounds):
+    assert cli.main(["sweep", "--variable", variable, "--min", bounds[0], "--max", bounds[1],
+                     "--steps", "301", "--theta", "pi/3", "--nu", "0", "--q", "0.3"]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    column = header.index("entropy")
+    assert len(rows) == 301
+    assert {row[column] for row in rows} == {"0.00000000"}
+
+
+@pytest.mark.parametrize("given, missing", [("omega", "accel"), ("accel", "omega")])
+def test_omega_and_accel_come_together(capsys, given, missing):
+    code = cli.main(["state", f"--{given}", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--{given} needs --{missing}" in captured.err
+
+
+def test_sweep_steps_cap(capsys):
+    # rejected by validation before any grid is built
+    code = cli.main(["sweep", "--variable", "q", "--min", "0", "--max", "0.5",
+                     "--steps", str(10**15)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "1000000" in captured.err
+
+
+def test_check_stdout_is_exactly_three_metrics(capsys):
+    assert cli.main(["check"]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[0] == cli.CHECK_HEADER
+    assert [line.split(",")[0] for line in lines[1:-1]] == [
+        "max_concurrence_deviation", "max_eigenvalue_deviation", "grid_points",
+    ]
+    assert lines[3] == "grid_points,13200"
+    assert lines[-1] == ""

@@ -316,3 +316,107 @@ def test_measure_state_separable_has_undefined_ratio():
     assert ms.concurrence == 0.0
     assert ms.qfe == 0.0
     assert ms.ratio is None
+
+
+# --- closed-form grid core against the matrix route ---------------------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qfesim.qmatrix import hermitian_eigen
+
+THETAS = st.floats(0.0, math.pi / 2)
+NUS = st.floats(0.0, 0.999)
+QS = st.floats(0.0, 0.9999)
+
+
+@settings(max_examples=300, deadline=None)
+@given(THETAS, NUS, QS)
+def test_evaluate_grid_matches_matrix_route(theta, nu, q):
+    grid = measures.evaluate_grid(theta, nu, q)
+    state = build_final_state(DetectorParams(theta=theta, nu=nu, q=q))
+    w = hermitian_eigen(state.rho).eigenvalues
+    closed_spectrum = np.sort([grid.eta[0], grid.upsilon[0], 2.0 * grid.mu[0], 0.0])[::-1]
+    np.testing.assert_allclose(closed_spectrum, w, rtol=0.0, atol=1e-10)
+    assert abs(grid.concurrence[0] - measures.concurrence_numeric(state.rho)) <= 1e-9
+    assert abs(grid.entropy[0] - measures.von_neumann_entropy(state.rho)) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(THETAS, NUS, QS), min_size=1, max_size=20))
+def test_evaluate_grid_equals_scalar_loop(points):
+    # the one-point functions are the reference; same arithmetic, so same bits
+    theta, nu, q = (np.array(column) for column in zip(*points))
+    grid = measures.evaluate_grid(theta, nu, q)
+    for i, (t, n, qv) in enumerate(points):
+        state = build_final_state(DetectorParams(theta=t, nu=n, q=qv))
+        ms = measures.measure_state(state)
+        assert (grid.mu[i], grid.upsilon[i], grid.eta[i]) == (state.mu, state.upsilon, state.eta)
+        c = measures.concurrence_analytic(state)
+        assert grid.concurrence[i] == c == ms.concurrence
+        assert grid.qfe[i] == measures.qfe_from_concurrence(c) == ms.qfe
+        assert grid.entropy[i] == ms.entropy
+        assert (ms.ratio is None) == math.isnan(grid.ratio[i])
+
+
+def test_evaluate_grid_pure_states_have_zero_entropy():
+    grid = measures.evaluate_grid(np.linspace(0.0, math.pi / 2, 41), 0.0, 0.7)
+    assert np.all(grid.entropy == 0.0)
+    assert not np.any(np.signbit(grid.entropy))
+
+
+def test_evaluate_grid_names_the_failing_point():
+    with pytest.raises(ValueError, match=r"\(theta, nu, q\) = \(0\.5, 0\.05, 1\.2\)"):
+        measures.evaluate_grid(0.5, 0.05, np.array([0.1, 1.2, 1.5]))
+
+
+def test_cross_check_error_names_the_point(monkeypatch):
+    real = measures.wootters_spectrum
+
+    def shifted(rho, eig=None):
+        return real(rho, eig) + np.array([1e-6, 0.0, 0.0, 0.0])
+
+    monkeypatch.setattr(measures, "wootters_spectrum", shifted)
+    point = r"concurrence .*\(theta, nu, q\) = \(0\.3, "
+    with pytest.raises(measures.CrossCheckError, match=point):
+        measures.evaluate_grid(0.3, 0.05, np.linspace(0.0, 0.5, 4), cross_check=True)
+
+
+@pytest.mark.parametrize(
+    "theta, nu, q",
+    [
+        (math.pi / 4, 0.0001232179123712207, 0.959146319643572),  # sweep --oracle repro
+        (0.6, 7.7e-4, 0.12),
+        (1.0, 1e-5, 0.5),
+    ],
+)
+def test_concurrence_numeric_small_coupling(theta, nu, q):
+    # the eigenvalue eta upsilon ~ nu**4 of sqrt(rho) rho~ sqrt(rho) lies below
+    # 1e-13 of its largest one; the spectrum must keep sqrt(eta upsilon) anyway
+    state = build_final_state(DetectorParams(theta=theta, nu=nu, q=q))
+    numeric = measures.concurrence_numeric(state.rho)
+    assert abs(numeric - measures.concurrence_analytic(state)) <= 1e-12
+    np.testing.assert_allclose(
+        measures.wootters_spectrum(state.rho) ** 2,
+        measures.analytic_eigenvalues(state),
+        rtol=1e-9,
+        atol=1e-24,
+    )
+
+
+def test_oracle_deviations_two_solves_per_point(monkeypatch):
+    from qfesim import qmatrix
+
+    calls = []
+    real = qmatrix.hermitian_eigen
+
+    def counting(a):
+        calls.append(1)
+        return real(a)
+
+    monkeypatch.setattr(measures, "hermitian_eigen", counting)
+    grid = measures.evaluate_grid(0.7, 0.05, np.linspace(0.0, 0.9, 5))
+    deviations = measures.oracle_deviations(grid)
+    assert len(calls) == 2 * 5
+    assert deviations.shape == (5, 3)
+    assert deviations.max() <= 1e-12

@@ -137,3 +137,42 @@ def test_oracle_scan_small_grid():
     assert result.points == 7 * 2 * 9
     assert result.max_concurrence_deviation <= 1e-9
     assert result.max_eigenvalue_deviation <= 1e-10
+
+
+def test_steps_cap_is_validated_before_any_allocation():
+    fixed = DetectorParams(theta=0.5, nu=0.05)
+    assert sweep.MAX_STEPS >= 10**6
+    sweep.SweepSpec("q", 0.0, 0.5, sweep.MAX_STEPS, fixed)  # allowed, never evaluated
+    for steps in (sweep.MAX_STEPS + 1, 10**15):
+        with pytest.raises(ValueError, match=str(sweep.MAX_STEPS)):
+            sweep.SweepSpec("q", 0.0, 0.5, steps, fixed)
+    for which in ("fig1", "fig2", "fig3"):
+        assert all(s.steps <= sweep.MAX_STEPS for s in sweep.figure_preset(which))
+
+
+def test_sweep_grid_concatenates_specs_in_order():
+    specs = sweep.figure_preset("fig2")
+    grid = sweep.sweep_grid(specs)
+    assert len(grid.q) == 3 * 721
+    records = [r for spec in specs for r in sweep.run_sweep(spec)]
+    assert [r.theta for r in records] == grid.theta.tolist()
+    assert [r.q for r in records] == grid.q.tolist()
+    assert [r.entropy for r in records] == grid.entropy.tolist()
+
+
+def test_peak_coarse_scan_agrees_with_refinement_bits():
+    # the golden-section refinement compares its values with coarse samples
+    for fixed, variable, xs in (
+        (DetectorParams(theta=math.pi / 5, nu=0.05), "q", np.linspace(0.0, 0.9999, 97)),
+        (DetectorParams(theta=0.0, nu=0.0, q=0.5), "theta", np.linspace(0.0, math.pi / 2, 97)),
+    ):
+        theta, nu, q = sweep._along(fixed, variable, xs)
+        coarse = sweep.evaluate_grid(theta, nu, q).qfe
+        assert coarse.tolist() == [sweep._qfe_at(fixed, variable, x) for x in xs]
+
+
+def test_oracle_scan_reports_entropy_deviation():
+    result = sweep.oracle_scan(theta_points=5, nu_values=(0.0, 1e-4), q_points=6)
+    assert result.points == 5 * 2 * 6
+    assert result.max_entropy_deviation <= 1e-10
+    assert result.max_concurrence_deviation <= 1e-12
