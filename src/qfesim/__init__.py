@@ -1,54 +1,17 @@
 """Entanglement and entanglement-fluctuation measures for a pair of
-two-level detectors, one of them uniformly accelerated."""
+two-level detectors, one of them uniformly accelerated.
 
-from .detector import (
-    DetectorParams,
-    JointState,
-    TrajectoryPoint,
-    accel_to_q,
-    build_final_state,
-    coupling_nu,
-    model_weights,
-    q_to_accel,
-    trajectory_point,
-    validity_check,
-)
-from .measures import (
-    CrossCheckError,
-    GridValues,
-    MeasureSet,
-    analytic_eigenvalues,
-    concurrence_analytic,
-    concurrence_numeric,
-    entanglement_entropy_pure,
-    evaluate_grid,
-    measure_state,
-    pure_concurrence,
-    qfe_from_concurrence,
-    qfe_variance_pure,
-    spin_flip,
-    von_neumann_entropy,
-    wootters_spectrum,
-)
-from .qmatrix import (
-    EigenDecomposition,
-    adjoint,
-    check_density_matrix,
-    hermitian_eigen,
-    matmul,
-    matrix_sqrt_psd,
-    partial_trace,
-    trace,
-)
+The names below are the library entry points; the kernels and the
+individual measures live in :mod:`qfesim.qmatrix`, :mod:`qfesim.detector`,
+:mod:`qfesim.measures` and :mod:`qfesim.sweep`.
+"""
+
+from .detector import DetectorParams, build_final_state
+from .measures import CrossCheckError, GridValues, evaluate_grid
 from .sweep import (
-    OracleScan,
-    PeakResult,
-    SweepRecord,
     SweepSpec,
-    evaluate_point,
     figure_preset,
     find_qfe_peak,
-    golden_section_max,
     oracle_scan,
     run_sweep,
     sweep_grid,
@@ -58,48 +21,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DetectorParams",
-    "JointState",
-    "TrajectoryPoint",
-    "accel_to_q",
     "build_final_state",
-    "coupling_nu",
-    "model_weights",
-    "q_to_accel",
-    "trajectory_point",
-    "validity_check",
-    "CrossCheckError",
-    "GridValues",
-    "MeasureSet",
-    "analytic_eigenvalues",
-    "concurrence_analytic",
-    "concurrence_numeric",
-    "entanglement_entropy_pure",
     "evaluate_grid",
-    "measure_state",
-    "pure_concurrence",
-    "qfe_from_concurrence",
-    "qfe_variance_pure",
-    "spin_flip",
-    "von_neumann_entropy",
-    "wootters_spectrum",
-    "EigenDecomposition",
-    "adjoint",
-    "check_density_matrix",
-    "hermitian_eigen",
-    "matmul",
-    "matrix_sqrt_psd",
-    "partial_trace",
-    "trace",
-    "OracleScan",
-    "PeakResult",
-    "SweepRecord",
+    "GridValues",
+    "CrossCheckError",
     "SweepSpec",
-    "evaluate_point",
+    "sweep_grid",
+    "run_sweep",
     "figure_preset",
     "find_qfe_peak",
-    "golden_section_max",
     "oracle_scan",
-    "run_sweep",
-    "sweep_grid",
     "__version__",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import astuple
 
 from .detector import DetectorParams, validity_check
 from .measures import CROSS_CHECK_TOL, CrossCheckError, GridValues, evaluate_grid
@@ -32,7 +31,6 @@ CHECK_HEADER = "metric,value"
 
 DEFAULT_THETA = math.pi / 4
 DEFAULT_NU = 0.05
-DEFAULT_Q = 0.0
 
 THETA_TOKENS = {
     "pi/3": math.pi / 3,
@@ -124,9 +122,9 @@ _CHUNK_ROWS = 1024  # grid rows turned into Python floats at a time; bounds peak
 
 
 def _csv_line(row) -> str:
-    """(q, theta, nu, mu, upsilon, eta, C, S, QFE, ratio); a None or NaN ratio is blank."""
+    """(q, theta, nu, mu, upsilon, eta, C, S, QFE, ratio); a NaN ratio is blank."""
     ratio = row[9]
-    tail = "," if ratio is None or ratio != ratio else ",%#.9g" % ratio
+    tail = "," if ratio != ratio else ",%#.9g" % ratio
     return _REALS % row[:9] + tail
 
 
@@ -144,17 +142,9 @@ def _emit(lines: list[str], destination: str | None) -> None:
             handle.write(text)
 
 
-def write_csv(records, destination: str | None = None) -> None:
-    """Emit rows under the fixed header; ``None`` writes to stdout.
-
-    ``records`` is an evaluated grid, formatted column-wise without a
-    record per row, or a list of ``SweepRecord``.
-    """
-    if isinstance(records, GridValues):
-        rows = _grid_rows(records)
-    else:
-        rows = (astuple(record) for record in records)
-    _emit([CSV_HEADER] + [_csv_line(row) for row in rows], destination)
+def write_csv(grid: GridValues, destination: str | None = None) -> None:
+    """Emit one row per grid point under the fixed header; ``None`` writes to stdout."""
+    _emit([CSV_HEADER] + [_csv_line(row) for row in _grid_rows(grid)], destination)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -232,13 +222,10 @@ def _make_params(args, config) -> DetectorParams:
         raise ValueError(
             f"--{given} needs --{missing}: q = exp(-2*pi*omega/accel) takes both"
         )
-    q = _option(args, config, "q")
-    if q is None and not (omega is not None and accel is not None):
-        q = DEFAULT_Q
     return DetectorParams(
         theta=_option(args, config, "theta", DEFAULT_THETA),
         nu=_option(args, config, "nu", DEFAULT_NU),
-        q=q,
+        q=_option(args, config, "q"),
         omega=omega,
         accel=accel,
     )

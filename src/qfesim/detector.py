@@ -67,11 +67,12 @@ def coupling_nu(epsilon: float, omega: float, delta: float, kappa: float) -> flo
 class DetectorParams:
     """Inputs for one evaluation point.
 
-    ``q`` is the canonical acceleration coordinate.  ``omega`` and
-    ``accel`` are optional conveniences: when both are given and ``q`` is
-    not, q is derived; when all three are given they must agree to 1e-12.
-    ``epsilon``, ``delta`` and ``kappa`` are carried for bookkeeping only
-    (see :func:`coupling_nu` to build ``nu`` from them).
+    ``q`` is the canonical acceleration coordinate and defaults to 0
+    (inertial).  ``omega`` and ``accel`` are optional conveniences: when
+    both are given and ``q`` is not, q is derived; when all three are given
+    they must agree to 1e-12; one of them alone, without ``q``, is an
+    error.  ``delta``, the interaction window, is read only by
+    :func:`validity_check`.
     """
 
     theta: float
@@ -79,9 +80,7 @@ class DetectorParams:
     q: float | None = None
     omega: float | None = None
     accel: float | None = None
-    epsilon: float | None = None
     delta: float | None = None
-    kappa: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.theta):
@@ -106,6 +105,12 @@ class DetectorParams:
                     f"q = {q} disagrees with exp(-2*pi*omega/accel) = {derived} "
                     f"beyond {_Q_CONSISTENCY_TOL:g}"
                 )
+        elif q is None and (self.omega is not None or self.accel is not None):
+            given, missing = ("omega", "accel") if self.accel is None else ("accel", "omega")
+            raise ValueError(
+                f"{given} needs {missing} to derive q = exp(-2*pi*omega/accel); "
+                f"give both, or give q"
+            )
         if q is None:
             q = 0.0
         if not 0.0 <= q < 1.0:
@@ -166,11 +171,6 @@ def weights_grid(theta, nu, q):
     return mu, upsilon, eta
 
 
-def model_weights(params: DetectorParams) -> tuple[float, float, float]:
-    """Weights (mu, upsilon, eta) of one parameter point; see :func:`weights_grid`."""
-    return tuple(float(w) for w in weights_grid(params.theta, params.nu, params.q))
-
-
 def x_state_rho(theta: float, mu: float, upsilon: float, eta: float) -> np.ndarray:
     """Read-only joint state in the basis |00>, |01>, |10>, |11>.
 
@@ -197,7 +197,7 @@ def build_final_state(params: DetectorParams) -> JointState:
 
     At nu = 0 this is exactly the projector onto the initial pure state.
     """
-    mu, upsilon, eta = model_weights(params)
+    mu, upsilon, eta = (float(w) for w in weights_grid(params.theta, params.nu, params.q))
     rho = x_state_rho(params.theta, mu, upsilon, eta)
     return JointState(rho=rho, mu=mu, upsilon=upsilon, eta=eta, params=params)
 
@@ -209,8 +209,6 @@ class TrajectoryPoint:
     tau: float
     t: float
     x: float
-    y: float = 0.0
-    z: float = 0.0
 
 
 def trajectory_point(accel: float, tau: float) -> TrajectoryPoint:
@@ -228,10 +226,10 @@ def trajectory_point(accel: float, tau: float) -> TrajectoryPoint:
 def validity_check(params: DetectorParams) -> list[str]:
     """Advisory warnings for parameter regimes outside the model's comfort zone."""
     notes = []
-    nu2 = params.nu * params.nu
-    if nu2 > SOFT_COUPLING_LIMIT:
+    nu_limit = math.sqrt(SOFT_COUPLING_LIMIT)  # exactly 0.1, where 0.1 * 0.1 rounds above 0.01
+    if params.nu > nu_limit:
         notes.append(
-            f"nu**2 = {nu2:.4g} exceeds {SOFT_COUPLING_LIMIT}; "
+            f"nu = {params.nu!r} exceeds {nu_limit!r} (nu**2 above {SOFT_COUPLING_LIMIT}); "
             f"the weak-coupling treatment is strained"
         )
     if params.omega is not None and params.delta is not None:

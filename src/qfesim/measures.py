@@ -20,7 +20,6 @@ and fluctuations are in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +28,6 @@ from .detector import JointState, _point_name, weights_grid, x_state_rho
 from .qmatrix import (
     EIGENVALUE_FLOOR,
     EigenDecomposition,
-    _as_matrix,
     check_density_matrix,
     hermitian_eigen,
     partial_trace,
@@ -45,20 +43,6 @@ _DEFAULT_PURITY_TOL = 1e-6
 
 class CrossCheckError(RuntimeError):
     """A closed form and the matrix route disagree beyond tolerance."""
-
-
-@dataclass(frozen=True)
-class MeasureSet:
-    """Concurrence, joint-state entropy, fluctuation and their ratio.
-
-    ``ratio`` is ``None`` whenever the concurrence is at or below 1e-12;
-    the fluctuation-to-concurrence quotient carries no information there.
-    """
-
-    concurrence: float
-    entropy: float
-    qfe: float
-    ratio: float | None
 
 
 class GridValues(NamedTuple):
@@ -128,14 +112,7 @@ def _qfe_and_ratio(c):
     return qfe, np.where(defined, qfe / safe, np.nan)
 
 
-def evaluate_grid(
-    theta,
-    nu,
-    q,
-    *,
-    cross_check: bool = False,
-    cross_check_tol: float = CROSS_CHECK_TOL,
-) -> GridValues:
+def evaluate_grid(theta, nu, q, *, cross_check: bool = False) -> GridValues:
     """Weights, concurrence, entropy, fluctuation and ratio at every point.
 
     ``theta``, ``nu`` and ``q`` are scalars or arrays that broadcast
@@ -147,7 +124,7 @@ def evaluate_grid(
 
     With ``cross_check`` each point's concurrence and entropy are compared
     with the matrix route (:func:`oracle_deviations`); a deviation beyond
-    ``cross_check_tol`` raises :class:`CrossCheckError` naming the point.
+    1e-9 (``CROSS_CHECK_TOL``) raises :class:`CrossCheckError` naming the point.
     """
     points = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (theta, nu, q)))
     theta, nu, q = (np.ravel(v) for v in points)
@@ -158,13 +135,13 @@ def evaluate_grid(
     grid = GridValues(q, theta, nu, mu, upsilon, eta, c, entropy, qfe, ratio)
     if cross_check:
         deviations = oracle_deviations(grid)[:, :2]
-        bad = deviations > cross_check_tol
+        bad = deviations > CROSS_CHECK_TOL
         if bad.any():
             i, j = np.argwhere(bad)[0]
             name, closed = (("concurrence", c), ("entropy", entropy))[j]
             raise CrossCheckError(
                 f"closed-form {name} {float(closed[i])!r} deviates from the matrix route "
-                f"by {deviations[i, j]:.3e} (tolerance {cross_check_tol:g}) "
+                f"by {deviations[i, j]:.3e} (tolerance {CROSS_CHECK_TOL:g}) "
                 f"at {_point_name(theta, nu, q, i)}"
             )
     return grid
@@ -194,14 +171,6 @@ def oracle_deviations(grid: GridValues) -> np.ndarray:
         out[i, 1] = abs(float(grid.entropy[i]) - float(_entropy_bits(eig.eigenvalues)))
         out[i, 2] = np.abs(lam[i] - r**2).max()
     return out
-
-
-def spin_flip(rho) -> np.ndarray:
-    """(sy x sy) conj(rho) (sy x sy); an involution on 4x4 matrices."""
-    m = _as_matrix(rho)
-    if m.shape[0] != 4:
-        raise ValueError("spin flip is defined for 4x4 matrices")
-    return FLIP_OPERATOR @ m.conj() @ FLIP_OPERATOR
 
 
 def wootters_spectrum(rho, eig: EigenDecomposition | None = None) -> np.ndarray:
@@ -326,27 +295,3 @@ def qfe_variance_pure(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
         return 0.0
     return math.sqrt(p * complement) * abs(math.log2(p / complement))
 
-
-def measure_state(
-    state: JointState,
-    *,
-    cross_check: bool = False,
-    cross_check_tol: float = CROSS_CHECK_TOL,
-) -> MeasureSet:
-    """Measures of one parameter point: :func:`evaluate_grid` at ``state.params``.
-
-    With ``cross_check`` enabled the concurrence and entropy are verified
-    against the matrix route; a deviation beyond ``cross_check_tol``
-    raises :class:`CrossCheckError`.
-    """
-    p = state.params
-    grid = evaluate_grid(
-        p.theta, p.nu, p.q, cross_check=cross_check, cross_check_tol=cross_check_tol
-    )
-    ratio = float(grid.ratio[0])
-    return MeasureSet(
-        concurrence=float(grid.concurrence[0]),
-        entropy=float(grid.entropy[0]),
-        qfe=float(grid.qfe[0]),
-        ratio=None if math.isnan(ratio) else ratio,
-    )

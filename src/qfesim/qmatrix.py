@@ -40,30 +40,6 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
-    return ma @ mb
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T.copy()
-
-
-def trace(a) -> complex:
-    """Sum of the diagonal entries, as a Python complex."""
-    return complex(np.trace(_as_matrix(a)))
-
-
-def hermiticity_defect(a) -> float:
-    """max |M - M+| over all entries."""
-    m = _as_matrix(a)
-    return float(np.abs(m - m.conj().T).max())
-
-
 def check_density_matrix(rho, *, require_psd: bool = True) -> np.ndarray:
     """Validate rho as a density matrix, returning it as an array.
 

@@ -23,6 +23,7 @@ MAX_STEPS = 1_000_000  # grid points per sweep; bounds the memory a sweep can as
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _COARSE_STEPS = 2000
+_PEAK_TOL = 1e-8  # absolute tolerance of the peak location
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,6 @@ def sweep_grid(specs, *, cross_check: bool = False) -> GridValues:
     return evaluate_grid(theta, nu, q, cross_check=cross_check)
 
 
-def evaluate_point(params: DetectorParams, *, cross_check: bool = False) -> SweepRecord:
-    """Measures and weights for a single parameter point."""
-    grid = evaluate_grid(params.theta, params.nu, params.q, cross_check=cross_check)
-    return _records(grid)[0]
-
-
 def run_sweep(spec: SweepSpec, *, cross_check: bool = False) -> list[SweepRecord]:
     """Evaluate the grid in ascending order, one record per point."""
     return _records(sweep_grid([spec], cross_check=cross_check))
@@ -191,11 +186,7 @@ def _qfe_at(fixed: DetectorParams, variable: str, x: float) -> float:
 
 
 def find_qfe_peak(
-    fixed: DetectorParams,
-    variable: str,
-    bracket: tuple[float, float],
-    *,
-    location_tol: float = 1e-8,
+    fixed: DetectorParams, variable: str, bracket: tuple[float, float]
 ) -> PeakResult:
     """Locate the fluctuation maximum over ``bracket`` for the swept variable.
 
@@ -220,7 +211,7 @@ def find_qfe_peak(
     bracket_lo = float(xs[max(i - 1, 0)])
     bracket_hi = float(xs[min(i + 1, len(xs) - 1)])
     x, v = golden_section_max(
-        lambda y: _qfe_at(fixed, variable, y), bracket_lo, bracket_hi, location_tol
+        lambda y: _qfe_at(fixed, variable, y), bracket_lo, bracket_hi, _PEAK_TOL
     )
     if vals[i] > v:
         x, v = float(xs[i]), float(vals[i])

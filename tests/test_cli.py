@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from qfesim import cli
+from qfesim.measures import evaluate_grid
 from qfesim.sweep import figure_preset, run_sweep
 
 C_WORKED = 0.9927416847761567
@@ -196,7 +198,7 @@ def test_missing_config_file_is_an_error(capsys):
 
 
 def test_write_csv_empty(capsys):
-    cli.write_csv([])
+    cli.write_csv(evaluate_grid(0.5, 0.05, np.empty(0)))
     assert capsys.readouterr().out == cli.CSV_HEADER + "\n"
 
 

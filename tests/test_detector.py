@@ -104,18 +104,13 @@ def test_params_default_q_is_inertial():
 
 
 def test_model_weights_uncoupled():
-    for theta in np.linspace(0.0, math.pi / 2, 7):
-        for q in (0.0, 0.3, 0.9):
-            mu, upsilon, eta = detector.model_weights(
-                DetectorParams(theta=float(theta), nu=0.0, q=q)
-            )
-            assert (mu, upsilon, eta) == (0.5, 0.0, 0.0)
+    theta = np.linspace(0.0, math.pi / 2, 7)[:, None]
+    mu, upsilon, eta = detector.weights_grid(theta, 0.0, np.array([0.0, 0.3, 0.9]))
+    assert np.all(mu == 0.5) and np.all(upsilon == 0.0) and np.all(eta == 0.0)
 
 
 def test_model_weights_inertial_point():
-    mu, upsilon, eta = detector.model_weights(
-        DetectorParams(theta=math.pi / 4, nu=0.05, q=0.0)
-    )
+    mu, upsilon, eta = detector.weights_grid(math.pi / 4, 0.05, 0.0)
     # 1e-14 absorbs the ulp of sin(pi/4)**2 vs the exact 1/2 in the oracle
     assert abs(mu - MU_Q0) <= 1e-14
     assert upsilon == 0.0
@@ -124,34 +119,27 @@ def test_model_weights_inertial_point():
 
 def test_model_weights_worked_point():
     # exact rationals at theta=pi/4, nu=0.05, q=0.5
-    mu, upsilon, eta = detector.model_weights(
-        DetectorParams(theta=math.pi / 4, nu=0.05, q=0.5)
-    )
+    mu, upsilon, eta = detector.weights_grid(math.pi / 4, 0.05, 0.5)
     assert abs(mu - 400.0 / 803.0) <= 1e-15
     assert abs(upsilon - 1.0 / 803.0) <= 1e-17
     assert abs(eta - 2.0 / 803.0) <= 1e-17
 
 
 def test_weight_normalization_on_grid():
-    for theta in np.linspace(0.0, math.pi / 2, 33):
-        for nu in (0.0, 0.01, 0.05, 0.1):
-            for q in np.linspace(0.0, 0.999, 100):
-                mu, upsilon, eta = detector.model_weights(
-                    DetectorParams(theta=float(theta), nu=nu, q=float(q))
-                )
-                assert abs(2.0 * mu + upsilon + eta - 1.0) <= 1e-12
-                assert mu >= 0.0 and upsilon >= 0.0 and eta >= 0.0
+    theta, nu, q = np.meshgrid(
+        np.linspace(0.0, math.pi / 2, 33), (0.0, 0.01, 0.05, 0.1), np.linspace(0.0, 0.999, 100)
+    )
+    mu, upsilon, eta = detector.weights_grid(theta, nu, q)
+    assert np.all(np.abs(2.0 * mu + upsilon + eta - 1.0) <= 1e-12)
+    assert np.all(mu >= 0.0) and np.all(upsilon >= 0.0) and np.all(eta >= 0.0)
 
 
 def test_mu_non_increasing_in_q():
     qs = np.linspace(0.0, 0.999, 100)
     for theta in np.linspace(0.05, math.pi / 2 - 0.05, 9):
         for nu in (0.01, 0.05, 0.1):
-            mus = [
-                detector.model_weights(DetectorParams(theta=float(theta), nu=nu, q=float(q)))[0]
-                for q in qs
-            ]
-            assert all(b <= a for a, b in zip(mus, mus[1:]))
+            mus = detector.weights_grid(theta, nu, qs)[0]
+            assert np.all(np.diff(mus) <= 0.0)
 
 
 def test_build_final_state_uncoupled_is_projector():
@@ -206,7 +194,7 @@ def test_build_final_state_rho_is_read_only():
 
 def test_trajectory_at_origin():
     point = detector.trajectory_point(1.0, 0.0)
-    assert (point.t, point.x, point.y, point.z) == (0.0, 1.0, 0.0, 0.0)
+    assert (point.tau, point.t, point.x) == (0.0, 0.0, 1.0)
     assert detector.trajectory_point(2.0, 0.0).x == 0.5
 
 

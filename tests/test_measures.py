@@ -52,30 +52,6 @@ def random_x_state(rng):
     return rho
 
 
-def test_spin_flip_reverses_diagonal():
-    rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-    np.testing.assert_allclose(
-        measures.spin_flip(rho), np.diag([0.4, 0.3, 0.2, 0.1]), atol=1e-15
-    )
-
-
-def test_spin_flip_is_involution():
-    rng = np.random.default_rng(20)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = (g + g.conj().T) / 2.0
-    np.testing.assert_allclose(measures.spin_flip(measures.spin_flip(h)), h, atol=1e-14)
-
-
-def test_spin_flip_fixes_bell_state():
-    rho = bell_rho()
-    np.testing.assert_allclose(measures.spin_flip(rho), rho, atol=1e-15)
-
-
-def test_spin_flip_rejects_2x2():
-    with pytest.raises(ValueError, match="4x4"):
-        measures.spin_flip(np.eye(2))
-
-
 def test_concurrence_numeric_bell():
     assert abs(measures.concurrence_numeric(bell_rho()) - 1.0) <= 1e-12
 
@@ -294,28 +270,26 @@ def test_qfe_variance_rejects_mixed():
 
 
 def test_measure_state_uncoupled_bell():
-    state = build_final_state(DetectorParams(theta=math.pi / 4, nu=0.0, q=0.0))
-    ms = measures.measure_state(state)
-    assert ms.concurrence == 1.0
-    assert ms.entropy <= 1e-12
-    assert ms.qfe == 0.0
-    assert ms.ratio == 0.0
+    grid = measures.evaluate_grid(math.pi / 4, 0.0, 0.0)
+    assert grid.concurrence[0] == 1.0
+    assert grid.entropy[0] <= 1e-12
+    assert grid.qfe[0] == 0.0
+    assert grid.ratio[0] == 0.0
 
 
 def test_measure_state_worked_point():
-    ms = measures.measure_state(worked_state(), cross_check=True)
-    assert abs(ms.concurrence - C_WORKED) <= 1e-12
-    assert abs(ms.entropy - ENTROPY_WORKED) <= 1e-12
-    assert abs(ms.qfe - QFE_WORKED) <= 1e-12
-    assert abs(ms.ratio - RATIO_WORKED) <= 1e-12
+    grid = measures.evaluate_grid(math.pi / 4, 0.05, 0.5, cross_check=True)
+    assert abs(grid.concurrence[0] - C_WORKED) <= 1e-12
+    assert abs(grid.entropy[0] - ENTROPY_WORKED) <= 1e-12
+    assert abs(grid.qfe[0] - QFE_WORKED) <= 1e-12
+    assert abs(grid.ratio[0] - RATIO_WORKED) <= 1e-12
 
 
 def test_measure_state_separable_has_undefined_ratio():
-    state = build_final_state(DetectorParams(theta=0.0, nu=0.05, q=0.5))
-    ms = measures.measure_state(state)
-    assert ms.concurrence == 0.0
-    assert ms.qfe == 0.0
-    assert ms.ratio is None
+    grid = measures.evaluate_grid(0.0, 0.05, 0.5)
+    assert grid.concurrence[0] == 0.0
+    assert grid.qfe[0] == 0.0
+    assert math.isnan(grid.ratio[0])
 
 
 # --- closed-form grid core against the matrix route ---------------------------
@@ -350,13 +324,13 @@ def test_evaluate_grid_equals_scalar_loop(points):
     grid = measures.evaluate_grid(theta, nu, q)
     for i, (t, n, qv) in enumerate(points):
         state = build_final_state(DetectorParams(theta=t, nu=n, q=qv))
-        ms = measures.measure_state(state)
+        one = measures.evaluate_grid(t, n, qv)
         assert (grid.mu[i], grid.upsilon[i], grid.eta[i]) == (state.mu, state.upsilon, state.eta)
         c = measures.concurrence_analytic(state)
-        assert grid.concurrence[i] == c == ms.concurrence
-        assert grid.qfe[i] == measures.qfe_from_concurrence(c) == ms.qfe
-        assert grid.entropy[i] == ms.entropy
-        assert (ms.ratio is None) == math.isnan(grid.ratio[i])
+        assert grid.concurrence[i] == c == one.concurrence[0]
+        assert grid.qfe[i] == measures.qfe_from_concurrence(c) == one.qfe[0]
+        assert grid.entropy[i] == one.entropy[0]
+        assert np.array_equal(grid.ratio[i], one.ratio[0], equal_nan=True)
 
 
 def test_evaluate_grid_pure_states_have_zero_entropy():

@@ -5,9 +5,6 @@ import pytest
 
 from qfesim import qmatrix
 
-SY = np.array([[0.0, -1j], [1j, 0.0]])
-FLIP = np.kron(SY, SY)
-
 
 def random_hermitian(rng, n=4):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -30,72 +27,6 @@ def reference_partial_trace(rho, subsystem):
     if subsystem == "A":
         return r[:, 0, :, 0] + r[:, 1, :, 1]
     return r[0, :, 0, :] + r[1, :, 1, :]
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(0)
-    m = random_hermitian(rng)
-    np.testing.assert_array_equal(qmatrix.matmul(np.eye(4), m), m)
-
-
-def test_matmul_diagonal():
-    a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    b = np.diag([4.0, 3.0, 2.0, 1.0]).astype(complex)
-    np.testing.assert_array_equal(qmatrix.matmul(a, b), np.diag([4.0, 6.0, 6.0, 4.0]))
-
-
-def test_matmul_flip_involution():
-    np.testing.assert_allclose(qmatrix.matmul(FLIP, FLIP), np.eye(4), atol=1e-15)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        qmatrix.matmul(np.eye(4), np.eye(2))
-
-
-def test_matmul_rejects_unsupported_dimension():
-    with pytest.raises(ValueError, match="dimensions are 2 and 4"):
-        qmatrix.matmul(np.eye(3), np.eye(3))
-
-
-def test_adjoint_hermitian_fixed_point():
-    rng = np.random.default_rng(1)
-    m = random_hermitian(rng)
-    np.testing.assert_allclose(qmatrix.adjoint(m), m, atol=1e-15)
-
-
-def test_adjoint_entry():
-    m = np.zeros((2, 2), dtype=complex)
-    m[0, 1] = 3.0 + 4.0j
-    adj = qmatrix.adjoint(m)
-    assert adj[1, 0] == 3.0 - 4.0j
-    assert adj[0, 1] == 0.0
-
-
-def test_adjoint_of_product():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    left = qmatrix.adjoint(qmatrix.matmul(a, b))
-    right = qmatrix.matmul(qmatrix.adjoint(b), qmatrix.adjoint(a))
-    np.testing.assert_allclose(left, right, atol=1e-12)
-
-
-def test_trace_identity():
-    assert qmatrix.trace(np.eye(4)) == 4.0
-
-
-def test_trace_density():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        assert abs(qmatrix.trace(random_density(rng)) - 1.0) <= 1e-12
-
-
-def test_trace_weights_sum_to_one():
-    # diagonal (eta, 2 mu sin^2, 2 mu cos^2, upsilon) always sums to 1
-    eta, mu, upsilon = 2 / 803, 400 / 803, 1 / 803
-    m = np.diag([eta, 2 * mu * 0.5, 2 * mu * 0.5, upsilon]).astype(complex)
-    assert abs(qmatrix.trace(m) - 1.0) <= 1e-12
 
 
 def test_partial_trace_product_state():
