@@ -103,6 +103,13 @@ def test_params_default_q_is_inertial():
     assert DetectorParams(theta=0.5, nu=0.05).q == 0.0
 
 
+@pytest.mark.parametrize("given, missing", [("omega", "accel"), ("accel", "omega")])
+def test_params_lone_omega_or_accel_needs_q(given, missing):
+    with pytest.raises(ValueError, match=f"{given} needs {missing}"):
+        DetectorParams(theta=0.5, nu=0.05, **{given: 1.0})
+    assert DetectorParams(theta=0.5, nu=0.05, q=0.2, **{given: 1.0}).q == 0.2
+
+
 def test_model_weights_uncoupled():
     theta = np.linspace(0.0, math.pi / 2, 7)[:, None]
     mu, upsilon, eta = detector.weights_grid(theta, 0.0, np.array([0.0, 0.3, 0.9]))
@@ -227,6 +234,13 @@ def test_validity_check_quiet_at_operating_point():
 def test_validity_check_flags_strong_coupling():
     notes = detector.validity_check(DetectorParams(theta=0.5, nu=0.5, q=0.1))
     assert len(notes) == 1 and "nu**2" in notes[0]
+
+
+def test_validity_check_coupling_boundary():
+    # 0.1 * 0.1 rounds above 0.01, so the limit is taken on nu itself
+    assert detector.validity_check(DetectorParams(theta=0.5, nu=0.1, q=0.1)) == []
+    notes = detector.validity_check(DetectorParams(theta=0.5, nu=0.1000001, q=0.1))
+    assert len(notes) == 1 and "nu = 0.1000001 exceeds 0.1" in notes[0]
 
 
 def test_validity_check_flags_short_window():

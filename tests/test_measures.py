@@ -294,10 +294,11 @@ def test_measure_state_separable_has_undefined_ratio():
 
 # --- closed-form grid core against the matrix route ---------------------------
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfesim.qmatrix import hermitian_eigen
+from qfesim.detector import x_state_rho
+from qfesim.qmatrix import check_density_matrix, hermitian_eigen
 
 THETAS = st.floats(0.0, math.pi / 2)
 NUS = st.floats(0.0, 0.999)
@@ -331,6 +332,21 @@ def test_evaluate_grid_equals_scalar_loop(points):
         assert grid.qfe[i] == measures.qfe_from_concurrence(c) == one.qfe[0]
         assert grid.entropy[i] == one.entropy[0]
         assert np.array_equal(grid.ratio[i], one.ratio[0], equal_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(THETAS, st.floats(0.0, 0.999, exclude_max=True), QS)
+@example(0.0, 0.05, 0.5)                  # separable: C = 0
+@example(math.pi / 4, 0.05, 0.9976)       # past sudden death: C = 0
+@example(math.pi / 4, 0.0, 0.9999)        # pure Bell state
+def test_evaluate_grid_properties(theta, nu, q):
+    grid = measures.evaluate_grid(theta, nu, q)
+    mu, upsilon, eta, c = (float(v[0]) for v in grid[3:7])
+    assert abs(2.0 * mu + upsilon + eta - 1.0) <= 1e-12
+    check_density_matrix(x_state_rho(theta, mu, upsilon, eta))  # Hermitian, unit trace, PSD
+    assert 0.0 <= c <= 1.0
+    assert grid.qfe[0] == measures.qfe_from_concurrence(c)
+    assert math.isnan(grid.ratio[0]) == (c <= 1e-12)
 
 
 def test_evaluate_grid_pure_states_have_zero_entropy():
