@@ -2,13 +2,16 @@
 
 Each case runs one CLI invocation in process and compares its stdout, byte
 for byte, with ``tests/golden/<name>.csv`` (``.csv.gz`` for the figure
-presets, compressed with ``gzip -9n``).  A change that alters any printed
-digit fails here and must announce the change and regenerate the files:
+presets: gzip level 9, no file name or timestamp).  A change that alters
+any printed digit fails here and must announce the change and regenerate
+the files:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import gzip
+import io
 import pathlib
 import sys
 
@@ -68,9 +71,6 @@ def test_cli_output_matches_golden(name, capsys):
 
 
 def _regenerate() -> None:
-    import contextlib
-    import io
-
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         buffer = io.StringIO()
