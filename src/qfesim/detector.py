@@ -171,23 +171,25 @@ def weights_grid(theta, nu, q):
     return mu, upsilon, eta
 
 
-def x_state_rho(theta: float, mu: float, upsilon: float, eta: float) -> np.ndarray:
+def x_state_rho(theta, mu, upsilon, eta) -> np.ndarray:
     """Read-only joint state in the basis |00>, |01>, |10>, |11>.
 
     The only nonzero entries are the diagonal (eta, 2 mu sin^2 theta,
     2 mu cos^2 theta, upsilon) and the real coherence mu sin(2 theta) at
-    positions (1, 2) and (2, 1).
+    positions (1, 2) and (2, 1).  Scalars give one 4x4 matrix; arrays that
+    broadcast together give a stack with the 4x4 axes last.
     """
-    s = math.sin(theta)
-    c = math.cos(theta)
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[0, 0] = eta
-    rho[1, 1] = 2.0 * mu * (s * s)
-    rho[2, 2] = 2.0 * mu * (c * c)
+    s = np.sin(theta)
+    c = np.cos(theta)
     coherence = mu * (2.0 * s * c)
-    rho[1, 2] = coherence
-    rho[2, 1] = coherence
-    rho[3, 3] = upsilon
+    shape = (coherence * upsilon * eta).shape  # the broadcast shape, at scalar cost
+    rho = np.zeros(shape + (4, 4), dtype=np.complex128)
+    rho[..., 0, 0] = eta
+    rho[..., 1, 1] = 2.0 * mu * (s * s)
+    rho[..., 2, 2] = 2.0 * mu * (c * c)
+    rho[..., 1, 2] = coherence
+    rho[..., 2, 1] = coherence
+    rho[..., 3, 3] = upsilon
     rho.flags.writeable = False
     return rho
 

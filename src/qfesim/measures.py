@@ -10,11 +10,14 @@ Two routes to the measures are kept deliberately separate:
   construction C = max(0, r1 - r2 - r3 - r4) with r_i the descending
   eigenvalues of R = sqrt(sqrt(rho) rho~ sqrt(rho)),
   rho~ = (sy x sy) conj(rho) (sy x sy), and :func:`von_neumann_entropy`
-  takes the entropy of a Jacobi spectrum.
+  takes the entropy of a Jacobi spectrum.  Both accept one 4x4 state or a
+  stack of them.
 
 The two must agree to 1e-9; ``evaluate_grid(..., cross_check=True)``
-enforces that per point for the concurrence and the entropy.  Entropies
-and fluctuations are in bits.
+enforces that per point for the concurrence and the entropy.  The check
+(:func:`oracle_deviations`) rebuilds the states 128 at a time and makes
+two batched Jacobi solves per chunk, so two solved matrices per point.
+Entropies and fluctuations are in bits.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ import numpy as np
 
 from .detector import JointState, _point_name, weights_grid, x_state_rho
 from .qmatrix import (
-    EIGENVALUE_FLOOR,
     EigenDecomposition,
+    _density_fault,
+    _in_stack,
+    _psd_fault,
     check_density_matrix,
     hermitian_eigen,
     partial_trace,
@@ -39,6 +44,7 @@ FLIP_OPERATOR = np.kron(_SIGMA_Y, _SIGMA_Y)
 RATIO_THRESHOLD = 1e-12
 CROSS_CHECK_TOL = 1e-9
 _DEFAULT_PURITY_TOL = 1e-6
+_CHUNK_POINTS = 128  # states per batched Jacobi solve in the oracle; bounds peak memory
 
 
 class CrossCheckError(RuntimeError):
@@ -152,62 +158,76 @@ def oracle_deviations(grid: GridValues) -> np.ndarray:
 
     Columns: concurrence, entropy, and the worst entry of the squared
     spin-flip spectrum against {4 mu^2 sin^2 2theta, eta upsilon,
-    eta upsilon, 0}.  Each point's state is rebuilt from its weights and
-    costs two Jacobi solves: one of rho, giving the entropy, and one in
-    :func:`wootters_spectrum`.  A ValueError from the matrix route names
-    the point.
+    eta upsilon, 0}.  The states are rebuilt from their weights 128 at a
+    time (``_CHUNK_POINTS``).  Each chunk is checked as a stack (Hermitian,
+    unit trace, spectrum above the PSD floor) and costs two batched Jacobi
+    solves: one of rho, giving the entropy, and one in
+    :func:`wootters_spectrum`, so two solved matrices per point.  A
+    ValueError from the matrix route names the point.
     """
     lam = _x_spin_flip_squares(grid.theta, grid.mu, grid.upsilon, grid.eta)
     out = np.empty((len(grid.theta), 3))
-    points = zip(*(col.tolist() for col in (grid.theta, grid.mu, grid.upsilon, grid.eta)))
-    for i, (theta, mu, upsilon, eta) in enumerate(points):
-        rho = x_state_rho(theta, mu, upsilon, eta)
-        try:
+    for start in range(0, len(grid.theta), _CHUNK_POINTS):
+        chunk = slice(start, start + _CHUNK_POINTS)
+        rho = x_state_rho(grid.theta[chunk], grid.mu[chunk], grid.upsilon[chunk], grid.eta[chunk])
+        fault = _density_fault(rho)
+        if fault is None:
             eig = hermitian_eigen(rho)
-            r = wootters_spectrum(rho, eig)
-        except ValueError as exc:
-            raise ValueError(f"{exc} at {_point_name(grid.theta, grid.nu, grid.q, i)}") from None
-        out[i, 0] = abs(float(grid.concurrence[i]) - _wootters_concurrence(r))
-        out[i, 1] = abs(float(grid.entropy[i]) - float(_entropy_bits(eig.eigenvalues)))
-        out[i, 2] = np.abs(lam[i] - r**2).max()
+            fault = _psd_fault(eig.eigenvalues)
+        if fault is not None:
+            i, reason = fault
+            raise ValueError(f"{reason} at {_point_name(grid.theta, grid.nu, grid.q, start + i)}")
+        r = wootters_spectrum(rho, eig)
+        out[chunk, 0] = np.abs(grid.concurrence[chunk] - _wootters_concurrence(r))
+        out[chunk, 1] = np.abs(grid.entropy[chunk] - _entropy_bits(eig.eigenvalues))
+        out[chunk, 2] = np.abs(lam[chunk] - r**2).max(axis=1)
     return out
 
 
 def wootters_spectrum(rho, eig: EigenDecomposition | None = None) -> np.ndarray:
     """Descending eigenvalues r_i of R = sqrt(sqrt(rho) rho~ sqrt(rho)).
 
+    ``rho`` is one 4x4 state, giving shape (4,), or a stack, giving (N, 4).
     One Jacobi solve rho = V diag(p) V+ (``eig``, reused when given) gives
     W = V diag(sqrt p) with rho = W W+.  The r_i are the singular values
     of tau = W^T (sy x sy) W, since tau+ tau is similar to rho rho~.  For
     real rho (every detector state) tau is real symmetric and r_i are the
     moduli of its eigenvalues, so nothing is squared and small r_i keep
-    their relative accuracy; a complex tau falls back to
-    sqrt(eig(tau+ tau)).
+    their relative accuracy.  The real taus of a stack are solved as one
+    stack; only the complex ones fall back to sqrt(eig(tau+ tau)).
     """
     m = check_density_matrix(rho, require_psd=False)
-    if m.shape[0] != 4:
+    if m.shape[-1] != 4:
         raise ValueError("the spin-flip spectrum is defined for 4x4 density matrices")
     p, vecs = hermitian_eigen(m) if eig is None else eig
-    if p[-1] < EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"density matrix must be positive semidefinite: smallest eigenvalue {p[-1]:.3e}"
-        )
-    w = vecs * np.sqrt(np.maximum(p, 0.0))
-    tau = w.T @ FLIP_OPERATOR @ w
-    if np.any(tau.imag):
-        r = np.sqrt(np.maximum(hermitian_eigen(tau.conj().T @ tau).eigenvalues, 0.0))
-    else:
-        r = np.abs(hermitian_eigen(tau).eigenvalues)
-    return np.sort(r)[::-1]
+    stack_p = p.reshape(-1, 4)
+    fault = _psd_fault(stack_p)
+    if fault is not None:
+        raise ValueError(fault[1] + _in_stack(m, fault[0]))
+    w = vecs.reshape(-1, 4, 4) * np.sqrt(np.maximum(stack_p, 0.0))[:, None, :]
+    tau = w.swapaxes(1, 2) @ FLIP_OPERATOR @ w
+    r = np.empty(stack_p.shape)
+    complex_tau = tau.imag.any(axis=(1, 2))
+    real_tau = ~complex_tau
+    if real_tau.any():
+        r[real_tau] = np.abs(hermitian_eigen(tau[real_tau]).eigenvalues)
+    if complex_tau.any():
+        t = tau[complex_tau]
+        r[complex_tau] = np.sqrt(np.maximum(hermitian_eigen(t.conj().swapaxes(1, 2) @ t).eigenvalues, 0.0))
+    return (-np.sort(-r, axis=1)).reshape(p.shape)
 
 
-def _wootters_concurrence(r) -> float:
-    return min(1.0, max(0.0, float(r[0] - r[1] - r[2] - r[3])))
+def _wootters_concurrence(r):
+    return np.clip(r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3], 0.0, 1.0)
 
 
-def concurrence_numeric(rho) -> float:
-    """Concurrence from the spin-flip spectrum, clamped to [0, 1]."""
-    return _wootters_concurrence(wootters_spectrum(rho))
+def concurrence_numeric(rho):
+    """Concurrence from the spin-flip spectrum, clamped to [0, 1].
+
+    A float for one state, an array for a stack.
+    """
+    c = _wootters_concurrence(wootters_spectrum(rho))
+    return float(c) if c.ndim == 0 else c
 
 
 def concurrence_analytic(state: JointState) -> float:
@@ -247,16 +267,18 @@ def pure_concurrence(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
     return min(1.0, 2.0 * math.sqrt(max(0.0, det)))
 
 
-def von_neumann_entropy(rho) -> float:
-    """-sum p log2 p over the Jacobi spectrum, with the convention 0 log 0 = 0."""
+def von_neumann_entropy(rho):
+    """-sum p log2 p over the Jacobi spectrum, with the convention 0 log 0 = 0.
+
+    A float for one state, an array for a stack.
+    """
     m = check_density_matrix(rho, require_psd=False)
     w = hermitian_eigen(m).eigenvalues
-    if w[-1] < EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"density matrix must be positive semidefinite: "
-            f"smallest eigenvalue {w[-1]:.3e}"
-        )
-    return float(_entropy_bits(w))
+    fault = _psd_fault(w.reshape(-1, m.shape[-1]))
+    if fault is not None:
+        raise ValueError(fault[1] + _in_stack(m, fault[0]))
+    entropy = _entropy_bits(w)
+    return float(entropy) if entropy.ndim == 0 else entropy
 
 
 def entanglement_entropy_pure(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:

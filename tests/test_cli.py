@@ -264,10 +264,13 @@ def test_oracle_failure_names_the_point(monkeypatch, capsys):
     from qfesim import measures
 
     real = measures.wootters_spectrum
-    monkeypatch.setattr(
-        measures, "wootters_spectrum",
-        lambda rho, eig=None: real(rho, eig) + [1e-6, 0.0, 0.0, 0.0],
-    )
+
+    def shifted(rho, eig=None):
+        r = real(rho, eig)
+        assert r.shape == (len(rho), 4)  # the oracle passes whole chunks of states
+        return r + np.array([1e-6, 0.0, 0.0, 0.0])
+
+    monkeypatch.setattr(measures, "wootters_spectrum", shifted)
     code = cli.main(["sweep", "--variable", "q", "--min", "0.2", "--max", "0.5",
                      "--steps", "4", "--theta", "0.5", "--nu", "0.05", "--oracle"])
     captured = capsys.readouterr()

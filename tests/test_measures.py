@@ -364,7 +364,9 @@ def test_cross_check_error_names_the_point(monkeypatch):
     real = measures.wootters_spectrum
 
     def shifted(rho, eig=None):
-        return real(rho, eig) + np.array([1e-6, 0.0, 0.0, 0.0])
+        r = real(rho, eig)
+        assert r.shape == (len(rho), 4)  # the oracle passes whole chunks of states
+        return r + np.array([1e-6, 0.0, 0.0, 0.0])
 
     monkeypatch.setattr(measures, "wootters_spectrum", shifted)
     point = r"concurrence .*\(theta, nu, q\) = \(0\.3, "
@@ -397,16 +399,80 @@ def test_concurrence_numeric_small_coupling(theta, nu, q):
 def test_oracle_deviations_two_solves_per_point(monkeypatch):
     from qfesim import qmatrix
 
-    calls = []
+    solved = []  # matrices per batched call
     real = qmatrix.hermitian_eigen
 
     def counting(a):
-        calls.append(1)
+        solved.append(len(a))
         return real(a)
 
     monkeypatch.setattr(measures, "hermitian_eigen", counting)
     grid = measures.evaluate_grid(0.7, 0.05, np.linspace(0.0, 0.9, 5))
     deviations = measures.oracle_deviations(grid)
-    assert len(calls) == 2 * 5
+    assert sum(solved) == 2 * 5
+    assert solved == [5, 5]  # one batched solve of rho, one of tau
     assert deviations.shape == (5, 3)
     assert deviations.max() <= 1e-12
+    solved.clear()
+    measures.oracle_deviations(measures.evaluate_grid(0.7, 0.05, np.linspace(0.0, 0.9, 300)))
+    assert solved == [128, 128, 128, 128, 44, 44]  # two batched calls per chunk of 128
+
+
+def test_oracle_deviations_do_not_depend_on_the_chunk():
+    # every state is solved on its own inside a chunk, so chunking changes no bit
+    thetas = np.linspace(0.0, math.pi / 2, 15)
+    grid = measures.evaluate_grid(thetas[:, None], np.array([0.0, 0.03, 0.09])[:, None, None],
+                                  np.linspace(0.0, 0.9999, 5))
+    assert len(grid.q) > measures._CHUNK_POINTS
+    whole = measures.oracle_deviations(grid)
+    for i in range(len(grid.q)):
+        one = measures.oracle_deviations(measures.GridValues(*(col[i:i + 1] for col in grid)))
+        assert one.tobytes() == whole[i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("index, fault", [(200, "positive semidefinite"), (257, "unit trace")])
+def test_oracle_failure_beyond_the_first_chunk_names_its_point(index, fault):
+    qs = np.linspace(0.0, 0.9, 300)
+    grid = measures.evaluate_grid(0.6, 0.05, qs)
+    eta, upsilon = grid.eta.copy(), grid.upsilon.copy()
+    if fault == "unit trace":
+        eta[index] += 1e-6
+    else:  # move weight from eta to upsilon past zero: same trace, one negative eigenvalue
+        upsilon[index] += eta[index] + 1e-6
+        eta[index] = -1e-6
+    bad = grid._replace(eta=eta, upsilon=upsilon)
+    point = rf"{fault}.* at \(theta, nu, q\) = \(0\.6, 0\.05, {float(qs[index])!r}\)"
+    with pytest.raises(ValueError, match=point):
+        measures.oracle_deviations(bad)
+
+
+def phased_x_states(phases, theta=0.6, nu=0.05, q=0.5):
+    grid = measures.evaluate_grid(theta, nu, np.full(len(phases), q))
+    rho = x_state_rho(grid.theta, grid.mu, grid.upsilon, grid.eta).copy()
+    rho[:, 1, 2] *= np.exp(1j * np.asarray(phases))
+    rho[:, 2, 1] = rho[:, 1, 2].conj()
+    return grid, rho
+
+
+def test_complex_tau_fallback_in_a_mixed_batch(monkeypatch):
+    from qfesim import qmatrix
+
+    phases = np.array([0.0, 0.3, 0.0, 1.1, 2.0, 0.0])
+    real_rows = phases == 0.0
+    grid, rho = phased_x_states(phases)
+    solved = []
+    real = qmatrix.hermitian_eigen
+
+    def recording(a):
+        solved.append(np.array(a))
+        return real(a)
+
+    monkeypatch.setattr(measures, "hermitian_eigen", recording)
+    r = measures.wootters_spectrum(rho)
+    c = measures._wootters_concurrence(r)
+    # rho, then the real taus as a stack, then tau+ tau of the complex ones
+    assert [len(a) for a in solved] == [6, 3, 3]
+    assert not solved[1].imag.any()
+    np.testing.assert_allclose(c, grid.concurrence[0], rtol=0.0, atol=1e-12)
+    alone = measures.wootters_spectrum(rho[real_rows])
+    assert alone.tobytes() == r[real_rows].tobytes()

@@ -194,3 +194,65 @@ def test_eigen_deterministic():
     w2, v2 = qmatrix.hermitian_eigen(h)
     np.testing.assert_array_equal(w1, w2)
     np.testing.assert_array_equal(v1, v2)
+
+
+# --- stacks ---------------------------------------------------------------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+ENTRIES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hermitian_stacks(draw):
+    n = draw(st.sampled_from([2, 4]))
+    stack = []
+    for kind in draw(st.lists(st.sampled_from(["diagonal", "real", "complex"]), min_size=1,
+                              max_size=12)):
+        re = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+        im = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+        if kind == "diagonal":  # converged before the first sweep
+            stack.append(np.diag(np.diag(re)).astype(complex))
+        else:
+            g = re + 1j * im if kind == "complex" else re.astype(complex)
+            stack.append((g + g.conj().T) / 2.0)
+    return np.array(stack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_stacks())
+def test_hermitian_eigen_stack_equals_each_matrix_bit_for_bit(stack):
+    # a matrix's result cannot depend on its neighbours, so no chunk size moves a digit
+    w, v = qmatrix.hermitian_eigen(stack)
+    assert w.shape == stack.shape[:2] and v.shape == stack.shape
+    for i, matrix in enumerate(stack):
+        wi, vi = qmatrix.hermitian_eigen(matrix)
+        assert wi.tobytes() == w[i].tobytes()
+        assert vi.tobytes() == v[i].tobytes()
+
+
+def test_hermitian_eigen_stack_matches_lapack():
+    rng = np.random.default_rng(11)
+    stack = np.array([random_hermitian(rng) for _ in range(200)])
+    w, v = qmatrix.hermitian_eigen(stack)
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(stack)[:, ::-1], rtol=0.0, atol=1e-12)
+    assert np.abs(stack @ v - v * w[:, None, :]).max() <= 1e-10
+
+
+def test_empty_stack():
+    w, v = qmatrix.hermitian_eigen(np.zeros((0, 4, 4)))
+    assert w.shape == (0, 4) and v.shape == (0, 4, 4)
+
+
+def test_stack_errors_name_the_matrix():
+    stack = np.array([np.eye(4) / 4.0] * 3, dtype=complex)
+    stack[2, 0, 1] = 1e-6
+    with pytest.raises(ValueError, match=r"Hermitian.*\(matrix 2 of the stack\)"):
+        qmatrix.hermitian_eigen(stack)
+    with pytest.raises(ValueError, match=r"Hermitian.*\(matrix 2 of the stack\)"):
+        qmatrix.check_density_matrix(stack)
+    stack[2, 0, 1] = 0.0
+    stack[1] = np.diag([0.5, 0.5, 0.5, -0.5])
+    with pytest.raises(ValueError, match=r"positive semidefinite.*\(matrix 1 of the stack\)"):
+        qmatrix.check_density_matrix(stack)
