@@ -10,8 +10,8 @@ Two routes to the measures are kept deliberately separate:
   construction C = max(0, r1 - r2 - r3 - r4) with r_i the descending
   eigenvalues of R = sqrt(sqrt(rho) rho~ sqrt(rho)),
   rho~ = (sy x sy) conj(rho) (sy x sy), and :func:`von_neumann_entropy`
-  takes the entropy of a Jacobi spectrum.  Both accept one 4x4 state or a
-  stack of them.
+  takes the entropy of a Jacobi spectrum.  :func:`wootters_spectrum` also
+  takes a stack of states.
 
 The two must agree to 1e-9; ``evaluate_grid(..., cross_check=True)``
 enforces that per point for the concurrence and the entropy.  The check
@@ -29,6 +29,7 @@ import numpy as np
 
 from .detector import JointState, _point_name, weights_grid, x_state_rho
 from .qmatrix import (
+    EIGENVALUE_FLOOR,
     EigenDecomposition,
     _density_fault,
     _in_stack,
@@ -221,13 +222,9 @@ def _wootters_concurrence(r):
     return np.clip(r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3], 0.0, 1.0)
 
 
-def concurrence_numeric(rho):
-    """Concurrence from the spin-flip spectrum, clamped to [0, 1].
-
-    A float for one state, an array for a stack.
-    """
-    c = _wootters_concurrence(wootters_spectrum(rho))
-    return float(c) if c.ndim == 0 else c
+def concurrence_numeric(rho) -> float:
+    """Concurrence from the spin-flip spectrum, clamped to [0, 1]."""
+    return float(_wootters_concurrence(wootters_spectrum(rho)))
 
 
 def concurrence_analytic(state: JointState) -> float:
@@ -267,18 +264,16 @@ def pure_concurrence(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
     return min(1.0, 2.0 * math.sqrt(max(0.0, det)))
 
 
-def von_neumann_entropy(rho):
-    """-sum p log2 p over the Jacobi spectrum, with the convention 0 log 0 = 0.
-
-    A float for one state, an array for a stack.
-    """
+def von_neumann_entropy(rho) -> float:
+    """-sum p log2 p over the Jacobi spectrum, with the convention 0 log 0 = 0."""
     m = check_density_matrix(rho, require_psd=False)
     w = hermitian_eigen(m).eigenvalues
-    fault = _psd_fault(w.reshape(-1, m.shape[-1]))
-    if fault is not None:
-        raise ValueError(fault[1] + _in_stack(m, fault[0]))
-    entropy = _entropy_bits(w)
-    return float(entropy) if entropy.ndim == 0 else entropy
+    if w[-1] < EIGENVALUE_FLOOR:
+        raise ValueError(
+            f"density matrix must be positive semidefinite: "
+            f"smallest eigenvalue {w[-1]:.3e}"
+        )
+    return float(_entropy_bits(w))
 
 
 def entanglement_entropy_pure(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:

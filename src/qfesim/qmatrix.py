@@ -1,11 +1,11 @@
 """Dense complex matrix routines sized for 2x2 and 4x4 Hermitian problems.
 
-Matrices are numpy ``complex128`` arrays throughout: one matrix of shape
-(n, n), or a stack of shape (N, n, n) that every routine here except
-:func:`partial_trace` and :func:`matrix_sqrt_psd` accepts.  Complex
-scalars are plain Python ``complex``.  A density matrix must be Hermitian
-to within 1e-12, have unit trace to within 1e-12, and have eigenvalues
-above -1e-10 (anything in [-1e-10, 0) counts as roundoff).
+Matrices are numpy ``complex128`` arrays throughout; complex scalars are
+plain Python ``complex``.  :func:`hermitian_eigen` and
+:func:`check_density_matrix` also take a stack of shape (N, n, n).  A
+density matrix must be Hermitian to within 1e-12, have unit trace to within
+1e-12, and have eigenvalues above -1e-10 (anything in [-1e-10, 0) counts as
+roundoff).
 """
 
 from __future__ import annotations
@@ -23,24 +23,22 @@ _MAX_SWEEPS = 100
 _NULL_FLOOR = 1e-13
 _TINY_PIVOT = 1e-18  # an off-diagonal entry below this is zeroed, not rotated away
 
+
+def _round(ps: slice, qs: slice, n: int):
+    """Column slices of the p's and q's of a round, their indices, and its pivots."""
+    p, q = np.arange(n)[ps], np.arange(n)[qs]
+    return ps, qs, p, q, (np.r_[p, q], np.r_[q, p])
+
+
 # Parallel (Brent & Luk) ordering: each round rotates disjoint (p, q) pairs,
 # so a round is one vectorized step, and a sweep visits every pair once.
-# Per round: column slices of p and q, their index arrays, and the entries
-# (p, q) and (q, p) that the round annihilates.
 _ROUNDS = {
-    n: [
-        (ps, qs, p, q, (np.r_[p, q], np.r_[q, p]))
-        for ps, qs in pairs
-        for p, q in [(np.arange(n)[ps], np.arange(n)[qs])]
-    ]
-    for n, pairs in {
-        2: [(slice(0, 1), slice(1, 2))],
-        4: [
-            (slice(0, 4, 2), slice(1, 4, 2)),
-            (slice(0, 2), slice(2, 4)),
-            (slice(0, 2), slice(3, 1, -1)),
-        ],
-    }.items()
+    2: [_round(slice(0, 1), slice(1, 2), 2)],
+    4: [
+        _round(slice(0, 4, 2), slice(1, 4, 2), 4),
+        _round(slice(0, 2), slice(2, 4), 4),
+        _round(slice(0, 2), slice(3, 1, -1), 4),
+    ],
 }
 _UPPER = {n: np.triu_indices(n, 1) for n in _ROUNDS}
 _FLIP = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
@@ -75,9 +73,13 @@ def _first(bad: np.ndarray):
     return int(np.argmax(bad)) if bad.any() else None
 
 
+def _hermiticity_defect(stack: np.ndarray) -> np.ndarray:
+    return np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+
+
 def _density_fault(stack: np.ndarray):
     """(index, reason) of the first Hermiticity, then unit-trace, failure in a stack."""
-    defect = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    defect = _hermiticity_defect(stack)
     i = _first(defect > HERMITIAN_TOL)
     if i is not None:
         return i, f"density matrix must be Hermitian: max |M - M+| = {defect[i]:.3e}"
@@ -216,7 +218,7 @@ def hermitian_eigen(a) -> EigenDecomposition:
     """
     m = _as_matrices(a)
     stack = m.reshape(-1, *m.shape[-2:])
-    defect = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    defect = _hermiticity_defect(stack)
     i = _first(defect > HERMITIAN_TOL)
     if i is not None:
         raise ValueError(
@@ -234,7 +236,7 @@ def hermitian_eigen(a) -> EigenDecomposition:
     w = np.take_along_axis(w, order, 1)
     v = np.take_along_axis(v, order[:, None, :], 2)
     if m.ndim == 2:
-        return EigenDecomposition(eigenvalues=w[0], eigenvectors=v[0])
+        w, v = w[0], v[0]
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
