@@ -214,7 +214,8 @@ def wootters_spectrum(rho, eig: EigenDecomposition | None = None) -> np.ndarray:
         r[real_tau] = np.abs(hermitian_eigen(tau[real_tau]).eigenvalues)
     if complex_tau.any():
         t = tau[complex_tau]
-        r[complex_tau] = np.sqrt(np.maximum(hermitian_eigen(t.conj().swapaxes(1, 2) @ t).eigenvalues, 0.0))
+        squares = hermitian_eigen(t.conj().swapaxes(1, 2) @ t).eigenvalues
+        r[complex_tau] = np.sqrt(np.maximum(squares, 0.0))
     return (-np.sort(-r, axis=1)).reshape(p.shape)
 
 
