@@ -15,8 +15,9 @@ Two routes to the measures are kept deliberately separate:
 
 The two must agree to 1e-9; ``evaluate_grid(..., cross_check=True)``
 enforces that per point for the concurrence and the entropy.  The check
-(:func:`oracle_deviations`) rebuilds the states 128 at a time and makes
-two batched Jacobi solves per chunk, so two solved matrices per point.
+(:func:`oracle_deviations`) rebuilds the states 256 at a time, validates
+each chunk once and makes two batched Jacobi solves per chunk, so two
+solved matrices per point.
 Entropies and fluctuations are in bits.
 """
 
@@ -41,11 +42,12 @@ from .qmatrix import (
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 FLIP_OPERATOR = np.kron(_SIGMA_Y, _SIGMA_Y)
+_REAL_FLIP = FLIP_OPERATOR.real  # sy x sy is real
 
 RATIO_THRESHOLD = 1e-12
 CROSS_CHECK_TOL = 1e-9
 _DEFAULT_PURITY_TOL = 1e-6
-_CHUNK_POINTS = 128  # states per batched Jacobi solve in the oracle; bounds peak memory
+_CHUNK_POINTS = 256  # states per batched Jacobi solve in the oracle; bounds peak memory
 
 
 class CrossCheckError(RuntimeError):
@@ -159,11 +161,11 @@ def oracle_deviations(grid: GridValues) -> np.ndarray:
 
     Columns: concurrence, entropy, and the worst entry of the squared
     spin-flip spectrum against {4 mu^2 sin^2 2theta, eta upsilon,
-    eta upsilon, 0}.  The states are rebuilt from their weights 128 at a
-    time (``_CHUNK_POINTS``).  Each chunk is checked as a stack (Hermitian,
-    unit trace, spectrum above the PSD floor) and costs two batched Jacobi
-    solves: one of rho, giving the entropy, and one in
-    :func:`wootters_spectrum`, so two solved matrices per point.  A
+    eta upsilon, 0}.  The states are rebuilt from their weights 256 at a
+    time (``_CHUNK_POINTS``).  Each chunk is checked once as a stack
+    (Hermitian, unit trace, spectrum above the PSD floor) and costs two
+    batched Jacobi solves: one of rho, giving the entropy, and one of
+    tau in the spin-flip spectrum, so two solved matrices per point.  A
     ValueError from the matrix route names the point.
     """
     lam = _x_spin_flip_squares(grid.theta, grid.mu, grid.upsilon, grid.eta)
@@ -178,36 +180,52 @@ def oracle_deviations(grid: GridValues) -> np.ndarray:
         if fault is not None:
             i, reason = fault
             raise ValueError(f"{reason} at {_point_name(grid.theta, grid.nu, grid.q, start + i)}")
-        r = wootters_spectrum(rho, eig)
+        r = _spin_flip(eig)
         out[chunk, 0] = np.abs(grid.concurrence[chunk] - _wootters_concurrence(r))
         out[chunk, 1] = np.abs(grid.entropy[chunk] - _entropy_bits(eig.eigenvalues))
         out[chunk, 2] = np.abs(lam[chunk] - r**2).max(axis=1)
     return out
 
 
-def wootters_spectrum(rho, eig: EigenDecomposition | None = None) -> np.ndarray:
+def wootters_spectrum(rho) -> np.ndarray:
     """Descending eigenvalues r_i of R = sqrt(sqrt(rho) rho~ sqrt(rho)).
 
     ``rho`` is one 4x4 state, giving shape (4,), or a stack, giving (N, 4).
-    One Jacobi solve rho = V diag(p) V+ (``eig``, reused when given) gives
-    W = V diag(sqrt p) with rho = W W+.  The r_i are the singular values
-    of tau = W^T (sy x sy) W, since tau+ tau is similar to rho rho~.  For
-    real rho (every detector state) tau is real symmetric and r_i are the
-    moduli of its eigenvalues, so nothing is squared and small r_i keep
-    their relative accuracy.  The real taus of a stack are solved as one
-    stack; only the complex ones fall back to sqrt(eig(tau+ tau)).
+    It is validated as a density matrix (Hermitian, unit trace, spectrum
+    above the PSD floor); the spectrum itself is :func:`_spin_flip`'s.
     """
     m = check_density_matrix(rho, require_psd=False)
     if m.shape[-1] != 4:
         raise ValueError("the spin-flip spectrum is defined for 4x4 density matrices")
-    p, vecs = hermitian_eigen(m) if eig is None else eig
+    p, vecs = hermitian_eigen(m)
     stack_p = p.reshape(-1, 4)
     fault = _psd_fault(stack_p)
     if fault is not None:
         raise ValueError(fault[1] + _in_stack(m, fault[0]))
-    w = vecs.reshape(-1, 4, 4) * np.sqrt(np.maximum(stack_p, 0.0))[:, None, :]
-    tau = w.swapaxes(1, 2) @ FLIP_OPERATOR @ w
-    r = np.empty(stack_p.shape)
+    return _spin_flip(EigenDecomposition(stack_p, vecs.reshape(-1, 4, 4))).reshape(p.shape)
+
+
+def _spin_flip(eig: EigenDecomposition) -> np.ndarray:
+    """Descending r_i, shape (N, 4), of a validated stack rho = V diag(p) V+.
+
+    W = V diag(sqrt p) gives rho = W W+.  The r_i are the singular values
+    of tau = W^T (sy x sy) W, since tau+ tau is similar to rho rho~.  A
+    real W (every detector state) gives a real symmetric tau, formed in
+    real arithmetic, and r_i are the moduli of its eigenvalues, so nothing
+    is squared and small r_i keep their relative accuracy.  The real taus
+    are solved as one stack; only the complex ones fall back to
+    sqrt(eig(tau+ tau)).
+    """
+    p, vecs = eig
+    scale = np.sqrt(np.maximum(p, 0.0))[:, None, :]
+    w = vecs.real * scale
+    tau = w.swapaxes(1, 2) @ _REAL_FLIP @ w
+    complex_w = vecs.imag.any(axis=(1, 2))
+    if complex_w.any():
+        tau = tau.astype(np.complex128)
+        w = vecs[complex_w] * scale[complex_w]
+        tau[complex_w] = w.swapaxes(1, 2) @ FLIP_OPERATOR @ w
+    r = np.empty(p.shape)
     complex_tau = tau.imag.any(axis=(1, 2))
     real_tau = ~complex_tau
     if real_tau.any():
@@ -216,7 +234,7 @@ def wootters_spectrum(rho, eig: EigenDecomposition | None = None) -> np.ndarray:
         t = tau[complex_tau]
         squares = hermitian_eigen(t.conj().swapaxes(1, 2) @ t).eigenvalues
         r[complex_tau] = np.sqrt(np.maximum(squares, 0.0))
-    return (-np.sort(-r, axis=1)).reshape(p.shape)
+    return -np.sort(-r, axis=1)
 
 
 def _wootters_concurrence(r):

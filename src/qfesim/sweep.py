@@ -232,18 +232,17 @@ def oracle_scan(
 ) -> OracleScan:
     """Compare the closed forms against the matrix route.
 
-    Runs the standard validation grid (theta x nu x q), one q row at a
-    time, and returns the worst absolute deviations; the concurrence
-    routes must agree to 1e-9, the spectra to 1e-10 and the entropies to
-    1e-10.
+    Runs the standard validation grid (theta x nu x q), one (theta, q)
+    plane per nu, and returns the worst absolute deviations; the
+    concurrence routes must agree to 1e-9, the spectra to 1e-10 and the
+    entropies to 1e-10.
     """
     thetas = np.linspace(0.0, math.pi / 2.0, theta_points)
     qs = np.linspace(0.0, q_max, q_points)
     worst = np.zeros(3)
     for nu in nu_values:
-        for theta in thetas:
-            deviations = oracle_deviations(evaluate_grid(theta, nu, qs))
-            worst = np.maximum(worst, deviations.max(axis=0, initial=0.0))
+        deviations = oracle_deviations(evaluate_grid(thetas[:, None], nu, qs))
+        worst = np.maximum(worst, deviations.max(axis=0, initial=0.0))
     c, entropy, spectrum = worst.tolist()
     return OracleScan(
         max_concurrence_deviation=c,

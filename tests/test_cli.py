@@ -263,14 +263,14 @@ def test_oracle_sweep_at_small_coupling(capsys):
 def test_oracle_failure_names_the_point(monkeypatch, capsys):
     from qfesim import measures
 
-    real = measures.wootters_spectrum
+    real = measures._spin_flip
 
-    def shifted(rho, eig=None):
-        r = real(rho, eig)
-        assert r.shape == (len(rho), 4)  # the oracle passes whole chunks of states
+    def shifted(eig):
+        r = real(eig)
+        assert r.shape == (len(eig.eigenvalues), 4) == (4, 4)  # the whole chunk of states
         return r + np.array([1e-6, 0.0, 0.0, 0.0])
 
-    monkeypatch.setattr(measures, "wootters_spectrum", shifted)
+    monkeypatch.setattr(measures, "_spin_flip", shifted)
     code = cli.main(["sweep", "--variable", "q", "--min", "0.2", "--max", "0.5",
                      "--steps", "4", "--theta", "0.5", "--nu", "0.05", "--oracle"])
     captured = capsys.readouterr()

@@ -361,14 +361,14 @@ def test_evaluate_grid_names_the_failing_point():
 
 
 def test_cross_check_error_names_the_point(monkeypatch):
-    real = measures.wootters_spectrum
+    real = measures._spin_flip
 
-    def shifted(rho, eig=None):
-        r = real(rho, eig)
-        assert r.shape == (len(rho), 4)  # the oracle passes whole chunks of states
+    def shifted(eig):
+        r = real(eig)
+        assert r.shape == (len(eig.eigenvalues), 4) == (4, 4)  # the whole chunk of states
         return r + np.array([1e-6, 0.0, 0.0, 0.0])
 
-    monkeypatch.setattr(measures, "wootters_spectrum", shifted)
+    monkeypatch.setattr(measures, "_spin_flip", shifted)
     point = r"concurrence .*\(theta, nu, q\) = \(0\.3, "
     with pytest.raises(measures.CrossCheckError, match=point):
         measures.evaluate_grid(0.3, 0.05, np.linspace(0.0, 0.5, 4), cross_check=True)
@@ -415,24 +415,25 @@ def test_oracle_deviations_two_solves_per_point(monkeypatch):
     assert deviations.max() <= 1e-12
     solved.clear()
     measures.oracle_deviations(measures.evaluate_grid(0.7, 0.05, np.linspace(0.0, 0.9, 300)))
-    assert solved == [128, 128, 128, 128, 44, 44]  # two batched calls per chunk of 128
+    assert solved == [256, 256, 44, 44]  # two batched calls per chunk of 256
 
 
 def test_oracle_deviations_do_not_depend_on_the_chunk():
     # every state is solved on its own inside a chunk, so chunking changes no bit
     thetas = np.linspace(0.0, math.pi / 2, 15)
     grid = measures.evaluate_grid(thetas[:, None], np.array([0.0, 0.03, 0.09])[:, None, None],
-                                  np.linspace(0.0, 0.9999, 5))
-    assert len(grid.q) > measures._CHUNK_POINTS
+                                  np.linspace(0.0, 0.9999, 13))
+    assert len(grid.q) > 2 * measures._CHUNK_POINTS
     whole = measures.oracle_deviations(grid)
     for i in range(len(grid.q)):
         one = measures.oracle_deviations(measures.GridValues(*(col[i:i + 1] for col in grid)))
         assert one.tobytes() == whole[i:i + 1].tobytes()
 
 
-@pytest.mark.parametrize("index, fault", [(200, "positive semidefinite"), (257, "unit trace")])
+@pytest.mark.parametrize("index, fault", [(300, "positive semidefinite"), (513, "unit trace")])
 def test_oracle_failure_beyond_the_first_chunk_names_its_point(index, fault):
-    qs = np.linspace(0.0, 0.9, 300)
+    qs = np.linspace(0.0, 0.9, 600)
+    assert index >= measures._CHUNK_POINTS
     grid = measures.evaluate_grid(0.6, 0.05, qs)
     eta, upsilon = grid.eta.copy(), grid.upsilon.copy()
     if fault == "unit trace":
@@ -476,3 +477,9 @@ def test_complex_tau_fallback_in_a_mixed_batch(monkeypatch):
     np.testing.assert_allclose(c, grid.concurrence[0], rtol=0.0, atol=1e-12)
     alone = measures.wootters_spectrum(rho[real_rows])
     assert alone.tobytes() == r[real_rows].tobytes()
+    # the real rows' tau, formed in real arithmetic, against an independent one
+    p, v = np.linalg.eigh(rho[real_rows])
+    w = v * np.sqrt(np.maximum(p, 0.0))[:, None, :]
+    tau = w.swapaxes(1, 2) @ measures.FLIP_OPERATOR @ w
+    np.testing.assert_allclose(r[real_rows], np.linalg.svd(tau, compute_uv=False),
+                               rtol=0.0, atol=1e-13)

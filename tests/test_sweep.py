@@ -139,6 +139,32 @@ def test_oracle_scan_small_grid():
     assert result.max_eigenvalue_deviation <= 1e-10
 
 
+def test_oracle_scan_equals_row_by_row_in_bounded_chunks(monkeypatch):
+    from qfesim import measures
+
+    worst = np.zeros(3)
+    for nu in (0.0, 0.01, 0.05, 0.1):
+        for theta in np.linspace(0.0, math.pi / 2.0, 33):
+            grid = measures.evaluate_grid(theta, nu, np.linspace(0.0, 0.999, 100))
+            worst = np.maximum(worst, measures.oracle_deviations(grid).max(axis=0))
+    built = []  # states per x_state_rho call
+    real = measures.x_state_rho
+
+    def counting(theta, mu, upsilon, eta):
+        rho = real(theta, mu, upsilon, eta)
+        built.append(len(rho))
+        return rho
+
+    monkeypatch.setattr(measures, "x_state_rho", counting)
+    result = sweep.oracle_scan()
+    assert result.points == 13200
+    scanned = [result.max_concurrence_deviation, result.max_entropy_deviation,
+               result.max_eigenvalue_deviation]
+    assert np.array(scanned).tobytes() == worst.tobytes()
+    assert max(built) <= measures._CHUNK_POINTS
+    assert sum(built) == 13200
+
+
 def test_steps_cap_is_validated_before_any_allocation():
     fixed = DetectorParams(theta=0.5, nu=0.05)
     assert sweep.MAX_STEPS >= 10**6
