@@ -192,7 +192,8 @@ def wootters_spectrum(rho) -> np.ndarray:
 
     ``rho`` is one 4x4 state, giving shape (4,), or a stack, giving (N, 4).
     It is validated as a density matrix (Hermitian, unit trace, spectrum
-    above the PSD floor); the spectrum itself is :func:`_spin_flip`'s.
+    above the PSD floor); the r_i are the singular values of
+    tau = W^T (sy x sy) W with rho = W W+ (see ``_spin_flip``).
     """
     m = check_density_matrix(rho, require_psd=False)
     if m.shape[-1] != 4:

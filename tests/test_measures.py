@@ -477,9 +477,14 @@ def test_complex_tau_fallback_in_a_mixed_batch(monkeypatch):
     np.testing.assert_allclose(c, grid.concurrence[0], rtol=0.0, atol=1e-12)
     alone = measures.wootters_spectrum(rho[real_rows])
     assert alone.tobytes() == r[real_rows].tobytes()
-    # the real rows' tau, formed in real arithmetic, against an independent one
-    p, v = np.linalg.eigh(rho[real_rows])
-    w = v * np.sqrt(np.maximum(p, 0.0))[:, None, :]
-    tau = w.swapaxes(1, 2) @ measures.FLIP_OPERATOR @ w
-    np.testing.assert_allclose(r[real_rows], np.linalg.svd(tau, compute_uv=False),
-                               rtol=0.0, atol=1e-13)
+    # the real taus, formed in real arithmetic, against singular values from LAPACK;
+    # a real state outside the X family also pins every sign of sy x sy
+    a = np.random.default_rng(7).standard_normal((4, 4))
+    generic = (a @ a.T / np.trace(a @ a.T))[None]
+    for states, spectrum in ((rho[real_rows], r[real_rows]),
+                             (generic, measures.wootters_spectrum(generic))):
+        p, v = np.linalg.eigh(states)
+        w = v * np.sqrt(np.maximum(p, 0.0))[:, None, :]
+        tau = w.swapaxes(1, 2) @ measures.FLIP_OPERATOR @ w
+        np.testing.assert_allclose(spectrum, np.linalg.svd(tau, compute_uv=False),
+                                   rtol=0.0, atol=1e-13)
