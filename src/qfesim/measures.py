@@ -11,7 +11,9 @@ Two routes to the measures are kept deliberately separate:
   eigenvalues of R = sqrt(sqrt(rho) rho~ sqrt(rho)),
   rho~ = (sy x sy) conj(rho) (sy x sy), and :func:`von_neumann_entropy`
   takes the entropy of a Jacobi spectrum.  :func:`wootters_spectrum` also
-  takes a stack of states.
+  takes a stack of states.  Every state of this route is validated and
+  solved once, by :func:`qfesim.qmatrix.density_eigen` or its private
+  ``(eig, fault)`` form.
 
 The two must agree to 1e-9; ``evaluate_grid(..., cross_check=True)``
 enforces that per point for the concurrence and the entropy.  The check
@@ -30,12 +32,9 @@ import numpy as np
 
 from .detector import JointState, _point_name, weights_grid, x_state_rho
 from .qmatrix import (
-    EIGENVALUE_FLOOR,
     EigenDecomposition,
-    _density_fault,
-    _in_stack,
-    _psd_fault,
-    check_density_matrix,
+    _density_spectrum,
+    density_eigen,
     hermitian_eigen,
     partial_trace,
 )
@@ -72,18 +71,6 @@ class GridValues(NamedTuple):
     ratio: np.ndarray
 
 
-def _log2(x) -> np.ndarray:
-    """``math.log2`` elementwise.
-
-    numpy's log2 differs from libm's in the last bit for about two inputs
-    in a thousand.  The peak search's golden-section path, and so its
-    printed location, turns on last-bit comparisons near the flat top, so
-    the fluctuation keeps the bits of the scalar formula.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def _entropy_bits(probabilities) -> np.ndarray:
     """-sum p log2 p over the last axis, p clipped to [0, 1] and 0 log 0 = 0.
 
@@ -117,7 +104,7 @@ def _qfe_and_ratio(c):
     defined = c > RATIO_THRESHOLD
     safe = np.where(defined, c, 1.0)
     root = np.sqrt(np.maximum(0.0, 1.0 - safe * safe))
-    qfe = np.where(defined, safe * _log2((1.0 + root) / safe), 0.0)
+    qfe = np.where(defined, safe * np.log2((1.0 + root) / safe), 0.0)
     return qfe, np.where(defined, qfe / safe, np.nan)
 
 
@@ -162,8 +149,8 @@ def oracle_deviations(grid: GridValues) -> np.ndarray:
     Columns: concurrence, entropy, and the worst entry of the squared
     spin-flip spectrum against {4 mu^2 sin^2 2theta, eta upsilon,
     eta upsilon, 0}.  The states are rebuilt from their weights 256 at a
-    time (``_CHUNK_POINTS``).  Each chunk is checked once as a stack
-    (Hermitian, unit trace, spectrum above the PSD floor) and costs two
+    time (``_CHUNK_POINTS``).  Each chunk is checked once as a stack, by
+    the validation of :func:`~qfesim.qmatrix.density_eigen`, and costs two
     batched Jacobi solves: one of rho, giving the entropy, and one of
     tau in the spin-flip spectrum, so two solved matrices per point.  A
     ValueError from the matrix route names the point.
@@ -173,10 +160,7 @@ def oracle_deviations(grid: GridValues) -> np.ndarray:
     for start in range(0, len(grid.theta), _CHUNK_POINTS):
         chunk = slice(start, start + _CHUNK_POINTS)
         rho = x_state_rho(grid.theta[chunk], grid.mu[chunk], grid.upsilon[chunk], grid.eta[chunk])
-        fault = _density_fault(rho)
-        if fault is None:
-            eig = hermitian_eigen(rho)
-            fault = _psd_fault(eig.eigenvalues)
+        eig, fault = _density_spectrum(rho)
         if fault is not None:
             i, reason = fault
             raise ValueError(f"{reason} at {_point_name(grid.theta, grid.nu, grid.q, start + i)}")
@@ -195,15 +179,11 @@ def wootters_spectrum(rho) -> np.ndarray:
     above the PSD floor); the r_i are the singular values of
     tau = W^T (sy x sy) W with rho = W W+ (see ``_spin_flip``).
     """
-    m = check_density_matrix(rho, require_psd=False)
-    if m.shape[-1] != 4:
+    p, vecs = density_eigen(rho)
+    if p.shape[-1] != 4:
         raise ValueError("the spin-flip spectrum is defined for 4x4 density matrices")
-    p, vecs = hermitian_eigen(m)
-    stack_p = p.reshape(-1, 4)
-    fault = _psd_fault(stack_p)
-    if fault is not None:
-        raise ValueError(fault[1] + _in_stack(m, fault[0]))
-    return _spin_flip(EigenDecomposition(stack_p, vecs.reshape(-1, 4, 4))).reshape(p.shape)
+    stack = EigenDecomposition(p.reshape(-1, 4), vecs.reshape(-1, 4, 4))
+    return _spin_flip(stack).reshape(p.shape)
 
 
 def _spin_flip(eig: EigenDecomposition) -> np.ndarray:
@@ -214,27 +194,22 @@ def _spin_flip(eig: EigenDecomposition) -> np.ndarray:
     real W (every detector state) gives a real symmetric tau, formed in
     real arithmetic, and r_i are the moduli of its eigenvalues, so nothing
     is squared and small r_i keep their relative accuracy.  The real taus
-    are solved as one stack; only the complex ones fall back to
-    sqrt(eig(tau+ tau)).
+    are solved as one stack; the states with a complex W fall back to
+    sqrt(eig(tau+ tau)), solved as a second stack.
     """
     p, vecs = eig
     scale = np.sqrt(np.maximum(p, 0.0))[:, None, :]
-    w = vecs.real * scale
-    tau = w.swapaxes(1, 2) @ _REAL_FLIP @ w
-    complex_w = vecs.imag.any(axis=(1, 2))
-    if complex_w.any():
-        tau = tau.astype(np.complex128)
-        w = vecs[complex_w] * scale[complex_w]
-        tau[complex_w] = w.swapaxes(1, 2) @ FLIP_OPERATOR @ w
     r = np.empty(p.shape)
-    complex_tau = tau.imag.any(axis=(1, 2))
-    real_tau = ~complex_tau
-    if real_tau.any():
-        r[real_tau] = np.abs(hermitian_eigen(tau[real_tau]).eigenvalues)
-    if complex_tau.any():
-        t = tau[complex_tau]
-        squares = hermitian_eigen(t.conj().swapaxes(1, 2) @ t).eigenvalues
-        r[complex_tau] = np.sqrt(np.maximum(squares, 0.0))
+    complex_w = vecs.imag.any(axis=(1, 2))
+    real_w = ~complex_w
+    if real_w.any():
+        w = vecs.real[real_w] * scale[real_w]
+        r[real_w] = np.abs(hermitian_eigen(w.swapaxes(1, 2) @ _REAL_FLIP @ w).eigenvalues)
+    if complex_w.any():
+        w = vecs[complex_w] * scale[complex_w]
+        tau = w.swapaxes(1, 2) @ FLIP_OPERATOR @ w
+        squares = hermitian_eigen(tau.conj().swapaxes(1, 2) @ tau).eigenvalues
+        r[complex_w] = np.sqrt(np.maximum(squares, 0.0))
     return -np.sort(-r, axis=1)
 
 
@@ -266,34 +241,25 @@ def analytic_eigenvalues(state: JointState) -> np.ndarray:
     return _x_spin_flip_squares(state.params.theta, state.mu, state.upsilon, state.eta)
 
 
-def _require_pure(psi_rho, tolerance: float) -> np.ndarray:
-    m = check_density_matrix(psi_rho, require_psd=False)
-    w = hermitian_eigen(m).eigenvalues
+def _require_pure(psi_rho, tolerance: float) -> None:
+    w = density_eigen(psi_rho).eigenvalues
     if w[0] < 1.0 - tolerance:
         raise ValueError(
             f"state is not pure within {tolerance:g}: largest eigenvalue {w[0]!r}"
         )
-    return m
 
 
 def pure_concurrence(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
     """Concurrence 2 sqrt(det rho_A) of a pure two-qubit state."""
-    m = _require_pure(psi_rho, tolerance)
-    ra = partial_trace(m, "A")
+    _require_pure(psi_rho, tolerance)
+    ra = partial_trace(psi_rho, "A")
     det = (ra[0, 0] * ra[1, 1] - ra[0, 1] * ra[1, 0]).real
     return min(1.0, 2.0 * math.sqrt(max(0.0, det)))
 
 
 def von_neumann_entropy(rho) -> float:
     """-sum p log2 p over the Jacobi spectrum, with the convention 0 log 0 = 0."""
-    m = check_density_matrix(rho, require_psd=False)
-    w = hermitian_eigen(m).eigenvalues
-    if w[-1] < EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"density matrix must be positive semidefinite: "
-            f"smallest eigenvalue {w[-1]:.3e}"
-        )
-    return float(_entropy_bits(w))
+    return float(_entropy_bits(density_eigen(rho).eigenvalues))
 
 
 def entanglement_entropy_pure(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
@@ -302,8 +268,8 @@ def entanglement_entropy_pure(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -
     Computed as the entropy of the reduced state of subsystem A; tracing
     out the other side gives the same value (to 1e-10) for pure input.
     """
-    m = _require_pure(psi_rho, tolerance)
-    return von_neumann_entropy(partial_trace(m, "A"))
+    _require_pure(psi_rho, tolerance)
+    return von_neumann_entropy(partial_trace(psi_rho, "A"))
 
 
 def qfe_from_concurrence(c: float) -> float:
@@ -324,8 +290,8 @@ def qfe_variance_pure(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
     sqrt(p(1-p)) |log2(p/(1-p))|, which vanishes at p in {0, 1/2, 1} and
     coincides with qfe_from_concurrence(2 sqrt(p(1-p))).
     """
-    m = _require_pure(psi_rho, tolerance)
-    w = hermitian_eigen(partial_trace(m, "A")).eigenvalues
+    _require_pure(psi_rho, tolerance)
+    w = hermitian_eigen(partial_trace(psi_rho, "A")).eigenvalues
     p = min(1.0, max(0.0, float(w[0])))
     complement = 1.0 - p
     if p <= 0.0 or complement <= 0.0:

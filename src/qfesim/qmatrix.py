@@ -2,10 +2,11 @@
 
 Matrices are numpy ``complex128`` arrays throughout; complex scalars are
 plain Python ``complex``.  :func:`hermitian_eigen` and
-:func:`check_density_matrix` also take a stack of shape (N, n, n).  A
-density matrix must be Hermitian to within 1e-12, have unit trace to within
-1e-12, and have eigenvalues above -1e-10 (anything in [-1e-10, 0) counts as
-roundoff).
+:func:`density_eigen` also take a stack of shape (N, n, n).  A density
+matrix must be Hermitian to within 1e-12, have unit trace to within 1e-12,
+and have eigenvalues above -1e-10 (anything in [-1e-10, 0) counts as
+roundoff).  :func:`density_eigen` is the one place that rule is applied
+together with the solve; :func:`partial_trace` checks the first two only.
 """
 
 from __future__ import annotations
@@ -99,22 +100,37 @@ def _psd_fault(w: np.ndarray):
     return None
 
 
-def check_density_matrix(rho, *, require_psd: bool = True) -> np.ndarray:
-    """Validate rho (one matrix or a stack) as density matrices, returning it as an array.
-
-    Raises ValueError naming the violated property, and for a stack the
-    first offending matrix.  The positivity check costs an
-    eigendecomposition and can be skipped by callers that gate on the
-    spectrum themselves.
-    """
-    m = _as_matrices(rho)
-    stack = m.reshape(-1, *m.shape[-2:])
-    fault = _density_fault(stack)
-    if fault is None and require_psd:
-        fault = _psd_fault(hermitian_eigen(stack).eigenvalues)
+def _reject(m: np.ndarray, fault) -> None:
     if fault is not None:
         raise ValueError(fault[1] + _in_stack(m, fault[0]))
-    return m
+
+
+def _density_spectrum(stack: np.ndarray):
+    """(eig, fault) of a stack of density matrices, shape (N, n, n).
+
+    ``fault`` is the (index, reason) of the first matrix that is not
+    Hermitian, not of unit trace or, after the one solve, below the PSD
+    floor, else None; ``eig`` is None when the solve never ran.
+    """
+    fault = _density_fault(stack)
+    if fault is not None:
+        return None, fault
+    eig = hermitian_eigen(stack)
+    return eig, _psd_fault(eig.eigenvalues)
+
+
+def density_eigen(rho) -> EigenDecomposition:
+    """Validated eigendecomposition of a density matrix, or a stack of them.
+
+    Checks Hermiticity and unit trace, solves once with
+    :func:`hermitian_eigen` and applies the -1e-10 PSD floor.  A failure
+    raises ValueError naming the violated property and, for a stack, the
+    first offending matrix.  One matrix gives the bits of a stack of one.
+    """
+    m = _as_matrices(rho)
+    eig, fault = _density_spectrum(m.reshape(-1, *m.shape[-2:]))
+    _reject(m, fault)
+    return eig if m.ndim == 3 else EigenDecomposition(*(part[0] for part in eig))
 
 
 def partial_trace(rho, subsystem: str) -> np.ndarray:
@@ -124,7 +140,8 @@ def partial_trace(rho, subsystem: str) -> np.ndarray:
     in the product basis |0_A 0_B>, |0_A 1_B>, |1_A 0_B>, |1_A 1_B>.  The
     trace of the input is preserved.
     """
-    m = check_density_matrix(rho, require_psd=False)
+    m = _as_matrices(rho)
+    _reject(m, _density_fault(m.reshape(-1, *m.shape[-2:])))
     if m.shape != (4, 4):
         raise ValueError("partial_trace expects a 4x4 density matrix")
     if subsystem not in ("A", "B"):

@@ -9,13 +9,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .detector import DetectorParams, build_final_state
+from .detector import DetectorParams, weights_grid
 from .measures import (
     GridValues,
-    concurrence_analytic,
+    _qfe_and_ratio,
+    _x_concurrence,
     evaluate_grid,
     oracle_deviations,
-    qfe_from_concurrence,
 )
 
 DEFAULT_Q_MAX = 0.9999
@@ -180,9 +180,10 @@ def golden_section_max(
 
 
 def _qfe_at(fixed: DetectorParams, variable: str, x: float) -> float:
+    """Closed-form fluctuation at one point, with the arithmetic of evaluate_grid."""
     theta, nu, q = _along(fixed, variable, float(x))
-    state = build_final_state(DetectorParams(theta=theta, nu=nu, q=q))
-    return qfe_from_concurrence(concurrence_analytic(state))
+    mu, upsilon, eta = weights_grid(theta, nu, q)
+    return float(_qfe_and_ratio(_x_concurrence(theta, mu, upsilon, eta))[0])
 
 
 def find_qfe_peak(

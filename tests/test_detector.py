@@ -5,7 +5,7 @@ import pytest
 
 from qfesim import detector
 from qfesim.detector import DetectorParams
-from qfesim.qmatrix import check_density_matrix
+from qfesim.qmatrix import density_eigen
 
 # frozen from high-precision evaluation of the closed forms
 ACCEL_AT_Q_HALF = 9.064720283654388      # 2*pi / ln 2
@@ -190,7 +190,7 @@ def test_build_final_state_density_valid_on_sample():
             nu=float(rng.uniform(0.0, 0.3)),
             q=float(rng.uniform(0.0, 0.999)),
         )
-        check_density_matrix(detector.build_final_state(params).rho)
+        density_eigen(detector.build_final_state(params).rho)
 
 
 def test_build_final_state_rho_is_read_only():

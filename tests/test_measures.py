@@ -161,6 +161,16 @@ def test_pure_concurrence_rejects_mixed():
         measures.pure_concurrence(np.eye(4) / 4.0, tolerance=1e-6)
 
 
+@pytest.mark.parametrize("measure", [measures.pure_concurrence,
+                                     measures.entanglement_entropy_pure,
+                                     measures.qfe_variance_pure])
+def test_pure_measures_apply_the_psd_floor(measure):
+    # pure within the tolerance, but one eigenvalue is -1e-8, below the -1e-10 floor
+    near_pure = np.diag([1.0 + 1e-8, 0.0, 0.0, -1e-8]).astype(complex)
+    with pytest.raises(ValueError, match="positive semidefinite: smallest eigenvalue -1.000e-08"):
+        measure(near_pure)
+
+
 def test_entropy_pure_state_is_zero():
     assert measures.von_neumann_entropy(bell_rho()) <= 1e-12
 
@@ -298,7 +308,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfesim.detector import x_state_rho
-from qfesim.qmatrix import check_density_matrix, hermitian_eigen
+from qfesim.qmatrix import density_eigen, hermitian_eigen
 
 THETAS = st.floats(0.0, math.pi / 2)
 NUS = st.floats(0.0, 0.999)
@@ -343,7 +353,7 @@ def test_evaluate_grid_properties(theta, nu, q):
     grid = measures.evaluate_grid(theta, nu, q)
     mu, upsilon, eta, c = (float(v[0]) for v in grid[3:7])
     assert abs(2.0 * mu + upsilon + eta - 1.0) <= 1e-12
-    check_density_matrix(x_state_rho(theta, mu, upsilon, eta))  # Hermitian, unit trace, PSD
+    density_eigen(x_state_rho(theta, mu, upsilon, eta))  # Hermitian, unit trace, PSD
     assert 0.0 <= c <= 1.0
     assert grid.qfe[0] == measures.qfe_from_concurrence(c)
     assert math.isnan(grid.ratio[0]) == (c <= 1e-12)
@@ -406,7 +416,8 @@ def test_oracle_deviations_two_solves_per_point(monkeypatch):
         solved.append(len(a))
         return real(a)
 
-    monkeypatch.setattr(measures, "hermitian_eigen", counting)
+    monkeypatch.setattr(qmatrix, "hermitian_eigen", counting)  # the rho solve
+    monkeypatch.setattr(measures, "hermitian_eigen", counting)  # the tau solve
     grid = measures.evaluate_grid(0.7, 0.05, np.linspace(0.0, 0.9, 5))
     deviations = measures.oracle_deviations(grid)
     assert sum(solved) == 2 * 5
@@ -468,7 +479,8 @@ def test_complex_tau_fallback_in_a_mixed_batch(monkeypatch):
         solved.append(np.array(a))
         return real(a)
 
-    monkeypatch.setattr(measures, "hermitian_eigen", recording)
+    monkeypatch.setattr(qmatrix, "hermitian_eigen", recording)  # the rho solve
+    monkeypatch.setattr(measures, "hermitian_eigen", recording)  # the tau solves
     r = measures.wootters_spectrum(rho)
     c = measures._wootters_concurrence(r)
     # rho, then the real taus as a stack, then tau+ tau of the complex ones

@@ -182,9 +182,9 @@ def test_matrix_sqrt_rejects_indefinite():
         qmatrix.matrix_sqrt_psd(np.diag([1.0, 1.0, 1.0, -1e-6]).astype(complex))
 
 
-def test_check_density_matrix_accepts_valid():
+def test_density_eigen_accepts_valid():
     rng = np.random.default_rng(9)
-    qmatrix.check_density_matrix(random_density(rng))
+    qmatrix.density_eigen(random_density(rng))
 
 
 def test_eigen_deterministic():
@@ -251,8 +251,38 @@ def test_stack_errors_name_the_matrix():
     with pytest.raises(ValueError, match=r"Hermitian.*\(matrix 2 of the stack\)"):
         qmatrix.hermitian_eigen(stack)
     with pytest.raises(ValueError, match=r"Hermitian.*\(matrix 2 of the stack\)"):
-        qmatrix.check_density_matrix(stack)
+        qmatrix.density_eigen(stack)
     stack[2, 0, 1] = 0.0
+    stack[0, 0, 0] += 1e-6
+    with pytest.raises(ValueError, match=r"unit trace.*\(matrix 0 of the stack\)"):
+        qmatrix.density_eigen(stack)
+    stack[0, 0, 0] -= 1e-6
     stack[1] = np.diag([0.5, 0.5, 0.5, -0.5])
     with pytest.raises(ValueError, match=r"positive semidefinite.*\(matrix 1 of the stack\)"):
-        qmatrix.check_density_matrix(stack)
+        qmatrix.density_eigen(stack)
+    with pytest.raises(ValueError, match="positive semidefinite") as one:
+        qmatrix.density_eigen(stack[1])
+    assert "of the stack" not in str(one.value)
+
+
+# --- the one validated density solve ----------------------------------------------
+
+
+def test_density_eigen_one_matrix_is_the_stack_of_one_bit_for_bit():
+    rng = np.random.default_rng(12)
+    real = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    real[1, 2] = real[2, 1] = 0.2
+    for rho in (random_density(rng), real):
+        w, v = qmatrix.density_eigen(rho)
+        ws, vs = qmatrix.density_eigen(rho[None])
+        assert w.shape == (4,) and v.shape == (4, 4)
+        assert ws.shape == (1, 4) and vs.shape == (1, 4, 4)
+        assert w.tobytes() == ws[0].tobytes() and v.tobytes() == vs[0].tobytes()
+        hw, hv = qmatrix.hermitian_eigen(rho)
+        assert w.tobytes() == hw.tobytes() and v.tobytes() == hv.tobytes()
+
+
+def test_check_density_matrix_is_gone():
+    # density_eigen replaces it; no caller may keep a check without the PSD floor
+    with pytest.raises(ImportError):
+        from qfesim.qmatrix import check_density_matrix  # noqa: F401

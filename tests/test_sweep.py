@@ -187,10 +187,12 @@ def test_sweep_grid_concatenates_specs_in_order():
 
 
 def test_peak_coarse_scan_agrees_with_refinement_bits():
-    # the golden-section refinement compares its values with coarse samples
+    # the golden-section refinement compares its values with coarse samples; a full
+    # coarse scan is large enough to catch a scalar log2 that differs in the last bit
+    steps = sweep._COARSE_STEPS
     for fixed, variable, xs in (
-        (DetectorParams(theta=math.pi / 5, nu=0.05), "q", np.linspace(0.0, 0.9999, 97)),
-        (DetectorParams(theta=0.0, nu=0.0, q=0.5), "theta", np.linspace(0.0, math.pi / 2, 97)),
+        (DetectorParams(theta=math.pi / 5, nu=0.05), "q", np.linspace(0.0, 0.9999, steps)),
+        (DetectorParams(theta=0.0, nu=0.0, q=0.5), "theta", np.linspace(0.0, math.pi / 2, steps)),
     ):
         theta, nu, q = sweep._along(fixed, variable, xs)
         coarse = sweep.evaluate_grid(theta, nu, q).qfe

@@ -3,6 +3,9 @@
 * The library imports no test-only or reference package, and the matrix
   route stays independent of ``numpy.linalg``, which the tests use as the
   independent reference.
+* The density-matrix rule (its tolerances, its fault finders and the
+  stack-index suffix of its errors) lives in ``qmatrix`` alone; every other
+  module reaches it through ``density_eigen`` or ``_density_spectrum``.
 * The README's "Library entry points" block runs, and it imports exactly
   the names in ``qfesim.__all__``.
 """
@@ -16,6 +19,8 @@ import qfesim
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "qfesim").glob("*.py"))
 FORBIDDEN_PACKAGES = {"scipy", "mpmath", "sympy", "hypothesis"}
+DENSITY_RULE_NAMES = {"EIGENVALUE_FLOOR", "HERMITIAN_TOL", "TRACE_TOL",
+                      "_density_fault", "_psd_fault", "_in_stack"}
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -60,6 +65,44 @@ def test_scan_catches_each_forbidden_form():
         "import numpy as np\nnp.linalg.eigh(m)",
     ):
         assert _violations(ast.parse(source)), source
+
+
+def _density_rule_uses(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            names = []
+        found += [f"line {node.lineno}: {name}" for name in names if name in DENSITY_RULE_NAMES]
+    return found
+
+
+def test_only_qmatrix_names_the_density_matrix_rule():
+    bad = {
+        path.name: hits
+        for path in SOURCES
+        if path.name != "qmatrix.py"
+        and (hits := _density_rule_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert bad == {}
+
+
+def test_density_rule_scan_catches_each_form():
+    for source in (
+        "from .qmatrix import EIGENVALUE_FLOOR",
+        "from .qmatrix import _density_fault as fault",
+        "from . import qmatrix\nqmatrix._psd_fault(w)",
+        "if defect > HERMITIAN_TOL: pass",
+        "qfesim.qmatrix.TRACE_TOL",
+        "_in_stack(m, 0)",
+    ):
+        assert _density_rule_uses(ast.parse(source)), source
+    assert not _density_rule_uses(ast.parse("from .qmatrix import _density_spectrum"))
 
 
 def _readme_entry_point_block() -> str:
