@@ -3,10 +3,11 @@
 Matrices are numpy ``complex128`` arrays throughout; complex scalars are
 plain Python ``complex``.  :func:`hermitian_eigen` and
 :func:`density_eigen` also take a stack of shape (N, n, n).  A density
-matrix must be Hermitian to within 1e-12, have unit trace to within 1e-12,
-and have eigenvalues above -1e-10 (anything in [-1e-10, 0) counts as
+matrix must be finite, Hermitian to within 1e-12, of unit trace to within
+1e-12, and have eigenvalues above -1e-10 (anything in [-1e-10, 0) counts as
 roundoff).  :func:`density_eigen` is the one place that rule is applied
-together with the solve; :func:`partial_trace` checks the first two only.
+together with the solve, and the solve does not check the matrix again;
+:func:`partial_trace` checks the first three only.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ def _as_matrices(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if m.shape[-1] not in (2, 4):
         raise ValueError(f"supported matrix dimensions are 2 and 4, got {m.shape[-1]}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
     return m
 
 
@@ -78,8 +77,16 @@ def _hermiticity_defect(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
 
 
+def _finite_fault(stack: np.ndarray):
+    i = _first(~np.isfinite(stack).all(axis=(1, 2)))
+    return None if i is None else (i, "matrix entries must be finite")
+
+
 def _density_fault(stack: np.ndarray):
-    """(index, reason) of the first Hermiticity, then unit-trace, failure in a stack."""
+    """(index, reason) of the first non-finite, non-Hermitian, then not unit-trace matrix."""
+    fault = _finite_fault(stack)
+    if fault is not None:
+        return fault
     defect = _hermiticity_defect(stack)
     i = _first(defect > HERMITIAN_TOL)
     if i is not None:
@@ -109,23 +116,24 @@ def _density_spectrum(stack: np.ndarray):
     """(eig, fault) of a stack of density matrices, shape (N, n, n).
 
     ``fault`` is the (index, reason) of the first matrix that is not
-    Hermitian, not of unit trace or, after the one solve, below the PSD
-    floor, else None; ``eig`` is None when the solve never ran.
+    finite, Hermitian or of unit trace or, after the one solve, below the
+    PSD floor, else None; ``eig`` is None when the solve never ran.
     """
     fault = _density_fault(stack)
     if fault is not None:
         return None, fault
-    eig = hermitian_eigen(stack)
+    eig = _unchecked_eigen(stack)
     return eig, _psd_fault(eig.eigenvalues)
 
 
 def density_eigen(rho) -> EigenDecomposition:
     """Validated eigendecomposition of a density matrix, or a stack of them.
 
-    Checks Hermiticity and unit trace, solves once with
-    :func:`hermitian_eigen` and applies the -1e-10 PSD floor.  A failure
-    raises ValueError naming the violated property and, for a stack, the
-    first offending matrix.  One matrix gives the bits of a stack of one.
+    Checks finiteness, Hermiticity and unit trace, solves once by the
+    sweeps of :func:`hermitian_eigen` (without checking again) and applies
+    the -1e-10 PSD floor.  A failure raises ValueError naming the violated
+    property and, for a stack, the first offending matrix.  One matrix
+    gives the bits of a stack of one.
     """
     m = _as_matrices(rho)
     eig, fault = _density_spectrum(m.reshape(-1, *m.shape[-2:]))
@@ -152,109 +160,150 @@ def partial_trace(rho, subsystem: str) -> np.ndarray:
     return np.einsum("abad->bd", r)
 
 
-def _mix(x, y, c, sigma):
-    """(c x - conj(sigma) y, sigma x + c y), complex numbers stored as (re[, im]) on axis 0."""
+def _mix(x, y, c, sigma) -> None:
+    """x, y <- c x - conj(sigma) y, sigma x + c y, in place; complex as (re[, im]) on axis 0."""
     sr = sigma[0]
     if len(sigma) == 1:
-        return c * x - sr * y, c * y + sr * x
-    k = _FLIP * sigma[1]  # conj(sigma) y = sr y + k swap(y) and sigma x = sr x - k swap(x)
-    return c * x - (sr * y + k * y[::-1]), c * y + (sr * x - k * x[::-1])
+        sigma_x = sr * x
+        x *= c
+        x -= sr * y
+    else:
+        k = _FLIP * sigma[1]  # conj(sigma) y = sr y + k swap(y) and sigma x = sr x - k swap(x)
+        sigma_x = sr * x - k * x[::-1]
+        x *= c
+        x -= sr * y + k * y[::-1]
+    y *= c
+    y += sigma_x
 
 
-def _sweep(hv: np.ndarray, n: int) -> None:
-    """One cyclic Jacobi sweep, in place, over hv = [H; V] of shape (parts, 2n, n, N).
+def _rotate(hv: np.ndarray, n: int, rnd, a, r, live) -> None:
+    """One round's rotations, in place, of hv = [H; V], its pivots a of moduli r (live: r >= 1e-18).
 
     Each rotation J annihilates H[p, q]: H <- J+ H J and V <- V J.  The new
     diagonal is a_pp - t|a_pq| and a_qq + t|a_pq| (Rutishauser's form), which
     keeps small eigenvalues to high relative accuracy (Demmel & Veselic).
     """
+    ps, qs, p, q, _ = rnd
     h = hv[:, :n]
-    for ps, qs, p, q, pivots in _ROUNDS[n]:
+    app = h[0, p, p]
+    aqq = h[0, q, q]
+    safe = np.where(live, r, 1.0)
+    tau = (aqq - app) / (2.0 * safe)
+    t = np.where(live, np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(tau, 1.0)), 0.0)
+    c = 1.0 / np.hypot(t, 1.0)
+    sigma = (t * c / safe) * a  # s e^{i arg a_pq}
+    _mix(hv[:, :, ps], hv[:, :, qs], c, sigma[:, None])
+    conj = _FLIP[: len(sigma)] * sigma[:, :, None]
+    _mix(h[:, ps], h[:, qs], c[:, None], conj)
+    tr = t * r
+    h[0, p, p] = app - tr
+    h[0, q, q] = aqq + tr
+
+
+def _sweep(hv: np.ndarray, n: int) -> None:
+    """One cyclic Jacobi sweep, in place, over hv = [H; V] of shape (parts, 2n, n, N).
+
+    A round rotates only the matrices with a pivot of magnitude at least
+    1e-18: all of them in place, some of them gathered and scattered back,
+    or none.  It then zeroes every pivot of the round and the imaginary
+    diagonal of every matrix, so a matrix's bits depend on its own entries.
+    """
+    h = hv[:, :n]
+    for rnd in _ROUNDS[n]:
+        _, _, p, q, pivots = rnd
         a = h[:, p, q]
-        app = h[0, p, p]
-        aqq = h[0, q, q]
         r = np.sqrt(sum(a * a))
         live = r >= _TINY_PIVOT
-        safe = np.where(live, r, 1.0)
-        tau = (aqq - app) / (2.0 * safe)
-        t = np.where(live, np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(tau, 1.0)), 0.0)
-        c = 1.0 / np.hypot(t, 1.0)
-        sigma = (t * c / safe) * a  # s e^{i arg a_pq}
-        hv[:, :, ps], hv[:, :, qs] = _mix(hv[:, :, ps], hv[:, :, qs], c, sigma[:, None])
-        conj = _FLIP[: len(sigma)] * sigma[:, :, None]
-        h[:, ps], h[:, qs] = _mix(h[:, ps], h[:, qs], c[:, None], conj)
-        tr = t * r
-        h[0, p, p] = app - tr
-        h[0, q, q] = aqq + tr
+        rotated = None if live.all() else live.any(axis=0)  # None: every pivot is live
+        if rotated is None or rotated.all():
+            _rotate(hv, n, rnd, a, r, live)
+        elif rotated.any():
+            idx = np.flatnonzero(rotated)
+            sub = hv[..., idx]
+            _rotate(sub, n, rnd, a[..., idx], r[:, idx], live[:, idx])
+            hv[..., idx] = sub
         h[1:, pivots[0], pivots[0]] = 0.0  # the diagonal stays real
         h[(slice(None),) + pivots] = 0.0
 
 
-def _jacobi(parts: np.ndarray):
-    """Eigenvalues (N, n) and eigenvectors (N, n, n) of a stack, in diagonal order.
+def _jacobi(parts) -> EigenDecomposition:
+    """Sorted eigendecomposition of a stack, eigenvalues (N, n) and eigenvectors (N, n, n).
 
-    ``parts`` holds the real and, for complex matrices, the imaginary parts,
-    shape (1 or 2, N, n, n).  Every matrix is checked before each sweep and
-    set aside once its off-diagonal Frobenius mass is at most 1e-14, so its
-    result does not depend on the rest of the stack.
+    ``parts`` holds the real and, for complex matrices, the imaginary part
+    of the stack, each of shape (N, n, n).  Every matrix is checked before
+    each sweep and set aside once its off-diagonal Frobenius mass is at
+    most 1e-14, so its result does not depend on the rest of the stack.
     """
-    count, size, n = parts.shape[:3]
-    hv = np.zeros((count, 2 * n, n, size))
-    hermitian = 0.5 * (parts + _FLIP[:count] * parts.swapaxes(2, 3))  # (M + M+) / 2
-    hv[:, :n] = hermitian.transpose(0, 2, 3, 1)
+    count = len(parts)
+    size, n = parts[0].shape[:2]
+    hv = np.empty((count, 2 * n, n, size))
+    for k, part in enumerate(parts):  # M + M+ is Re M + Re M^T and Im M - Im M^T
+        m = part.transpose(1, 2, 0)
+        (np.subtract if k else np.add)(m, m.swapaxes(0, 1), out=hv[k, :n])
+    hv[:, :n] *= 0.5
+    hv[1:, n:] = 0.0
     hv[0, n:] = np.eye(n)[:, :, None]
     w = np.empty((size, n))
-    v = np.zeros((size, n, n), dtype=np.complex128)
+    rows = np.empty((count, size, n, n))  # the parts of the eigenvectors, one per row
     live = np.arange(size)
     for _ in range(_MAX_SWEEPS):
         u = hv[(slice(None),) + _UPPER[n]]
         done = np.sqrt(2.0 * sum(sum(u * u))) <= _OFFDIAG_TARGET
         if done.any():
             w[live[done]] = hv[0, range(n), range(n)][:, done].T
-            vecs = hv[:, n:, :, done].transpose(0, 3, 1, 2)
-            v.real[live[done]] = vecs[0]
-            if count == 2:
-                v.imag[live[done]] = vecs[1]
+            rows[:, live[done]] = hv[:, n:, :, done].transpose(0, 3, 2, 1)
             live, hv = live[~done], hv[..., ~done]
         if not live.size:
-            return w, v
+            break
         _sweep(hv, n)
-    raise RuntimeError("Jacobi iteration failed to converge within 100 sweeps")
+    else:
+        raise RuntimeError("Jacobi iteration failed to converge within 100 sweeps")
+    pick = np.arange(size)[:, None], np.argsort(-w, axis=1, kind="stable")
+    rows = rows[(slice(None),) + pick]  # one gather sorts the eigenvectors
+    v = np.zeros((size, n, n), dtype=np.complex128)
+    v.real = rows[0].swapaxes(1, 2)
+    if count == 2:
+        v.imag = rows[1].swapaxes(1, 2)
+    return EigenDecomposition(w[pick], v)
+
+
+def _unchecked_eigen(stack: np.ndarray) -> EigenDecomposition:
+    """Sorted eigendecomposition of a stack (N, n, n) already known finite and Hermitian."""
+    is_complex = stack.imag.any(axis=(1, 2))
+    if is_complex.all() or not is_complex.any():
+        return _jacobi((stack.real, stack.imag)[: 1 + bool(is_complex.any())])
+    w = np.empty(stack.shape[:2])
+    v = np.empty(stack.shape, dtype=np.complex128)
+    for part, count in ((~is_complex, 1), (is_complex, 2)):
+        sub = stack[part]
+        w[part], v[part] = _jacobi((sub.real, sub.imag)[:count])
+    return EigenDecomposition(w, v)
 
 
 def hermitian_eigen(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, or a stack, by cyclic Jacobi rotations.
 
     Every matrix of a stack is solved by the same vectorized sweeps, and
-    its result is bit for bit the one it gets alone.  A real matrix is
-    rotated in real arithmetic.  Sweeps stop once the off-diagonal
-    Frobenius mass falls to 1e-14, with a hard cap of 100 sweeps (never
-    reached for valid input).  Eigenvalues come back sorted descending,
-    ties keeping their diagonal order, with the eigenvector columns
-    permuted to match.
+    its result is bit for bit the one it gets alone: in a round where all
+    of a matrix's pivots are below 1e-18, that matrix is not rotated, and
+    the rule reads its own entries only.  A real matrix is rotated in real
+    arithmetic.  Sweeps stop once the off-diagonal Frobenius mass falls to
+    1e-14, with a hard cap of 100 sweeps (never reached for valid input).
+    Eigenvalues come back sorted descending, ties keeping their diagonal
+    order, with the eigenvector columns permuted to match.
     """
     m = _as_matrices(a)
     stack = m.reshape(-1, *m.shape[-2:])
-    defect = _hermiticity_defect(stack)
-    i = _first(defect > HERMITIAN_TOL)
-    if i is not None:
-        raise ValueError(
-            f"matrix must be Hermitian within {HERMITIAN_TOL:g}: "
-            f"max |M - M+| = {defect[i]:.3e}{_in_stack(m, i)}"
-        )
-    w = np.empty(stack.shape[:2])
-    v = np.empty(stack.shape, dtype=np.complex128)
-    is_complex = stack.imag.any(axis=(1, 2))
-    for part, count in ((~is_complex, 1), (is_complex, 2)):
-        if part.any():
-            sub = stack[part]
-            w[part], v[part] = _jacobi(np.stack((sub.real, sub.imag)[:count]))
-    order = np.argsort(-w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, 1)
-    v = np.take_along_axis(v, order[:, None, :], 2)
-    if m.ndim == 2:
-        w, v = w[0], v[0]
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    fault = _finite_fault(stack)
+    if fault is None:
+        defect = _hermiticity_defect(stack)
+        i = _first(defect > HERMITIAN_TOL)
+        if i is not None:
+            fault = i, (f"matrix must be Hermitian within {HERMITIAN_TOL:g}: "
+                        f"max |M - M+| = {defect[i]:.3e}")
+    _reject(m, fault)
+    eig = _unchecked_eigen(stack)
+    return eig if m.ndim == 3 else EigenDecomposition(*(part[0] for part in eig))
 
 
 def matrix_sqrt_psd(a) -> np.ndarray:

@@ -410,14 +410,14 @@ def test_oracle_deviations_two_solves_per_point(monkeypatch):
     from qfesim import qmatrix
 
     solved = []  # matrices per batched call
-    real = qmatrix.hermitian_eigen
+    real = qmatrix._unchecked_eigen
 
     def counting(a):
         solved.append(len(a))
         return real(a)
 
-    monkeypatch.setattr(qmatrix, "hermitian_eigen", counting)  # the rho solve
-    monkeypatch.setattr(measures, "hermitian_eigen", counting)  # the tau solve
+    # the solve behind density_eigen (rho) and hermitian_eigen (tau) alike
+    monkeypatch.setattr(qmatrix, "_unchecked_eigen", counting)
     grid = measures.evaluate_grid(0.7, 0.05, np.linspace(0.0, 0.9, 5))
     deviations = measures.oracle_deviations(grid)
     assert sum(solved) == 2 * 5
@@ -458,6 +458,23 @@ def test_oracle_failure_beyond_the_first_chunk_names_its_point(index, fault):
         measures.oracle_deviations(bad)
 
 
+def test_oracle_names_the_point_of_a_non_finite_state(monkeypatch):
+    qs = np.linspace(0.0, 0.9, 600)
+    grid = measures.evaluate_grid(0.6, 0.05, qs)
+    assert np.count_nonzero(grid.mu == grid.mu[300]) == 1
+    build = measures.x_state_rho
+
+    def nan_at_300(theta, mu, upsilon, eta):
+        rho = build(theta, mu, upsilon, eta).copy()
+        rho[mu == grid.mu[300], 0, 3] = np.nan
+        return rho
+
+    monkeypatch.setattr(measures, "x_state_rho", nan_at_300)
+    point = rf"finite at \(theta, nu, q\) = \(0\.6, 0\.05, {float(qs[300])!r}\)"
+    with pytest.raises(ValueError, match=point):
+        measures.oracle_deviations(grid)
+
+
 def phased_x_states(phases, theta=0.6, nu=0.05, q=0.5):
     grid = measures.evaluate_grid(theta, nu, np.full(len(phases), q))
     rho = x_state_rho(grid.theta, grid.mu, grid.upsilon, grid.eta).copy()
@@ -473,14 +490,13 @@ def test_complex_tau_fallback_in_a_mixed_batch(monkeypatch):
     real_rows = phases == 0.0
     grid, rho = phased_x_states(phases)
     solved = []
-    real = qmatrix.hermitian_eigen
+    real = qmatrix._unchecked_eigen
 
     def recording(a):
         solved.append(np.array(a))
         return real(a)
 
-    monkeypatch.setattr(qmatrix, "hermitian_eigen", recording)  # the rho solve
-    monkeypatch.setattr(measures, "hermitian_eigen", recording)  # the tau solves
+    monkeypatch.setattr(qmatrix, "_unchecked_eigen", recording)  # the rho and tau solves
     r = measures.wootters_spectrum(rho)
     c = measures._wootters_concurrence(r)
     # rho, then the real taus as a stack, then tau+ tau of the complex ones

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qfesim import qmatrix
+from qfesim import measures, qmatrix
+from qfesim.detector import x_state_rho
 
 
 def random_hermitian(rng, n=4):
@@ -204,16 +206,33 @@ from hypothesis import strategies as st
 ENTRIES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
+# pivots on both sides of the 1e-18 below which a matrix is not rotated in a round
+PIVOTS = st.one_of(ENTRIES, st.sampled_from([0.0, -0.0, 5e-324, -1e-19, 1e-18, 2e-18]))
+
+
+def x_state(draw, n):
+    """Random diagonal, one coherence at (1, 2) or (0, 3) (at (0, 1) for n = 2), signed zeros."""
+    m = np.diag(draw(st.lists(st.one_of(ENTRIES, st.just(-0.0)), min_size=n, max_size=n)))
+    signs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    m = m.astype(complex) * np.outer(signs, signs)  # -0.0 at symmetric places off the diagonal
+    i, j = draw(st.sampled_from([(1, 2), (0, 3)] if n == 4 else [(0, 1)]))
+    coherence = complex(draw(PIVOTS), draw(PIVOTS) if draw(st.booleans()) else 0.0)
+    m[i, j], m[j, i] = coherence, coherence.conjugate()
+    return m
+
+
 @st.composite
 def hermitian_stacks(draw):
     n = draw(st.sampled_from([2, 4]))
     stack = []
-    for kind in draw(st.lists(st.sampled_from(["diagonal", "real", "complex"]), min_size=1,
-                              max_size=12)):
+    for kind in draw(st.lists(st.sampled_from(["diagonal", "real", "complex", "x_state"]),
+                              min_size=1, max_size=12)):
         re = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
         im = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
         if kind == "diagonal":  # converged before the first sweep
             stack.append(np.diag(np.diag(re)).astype(complex))
+        elif kind == "x_state":  # dead rounds: every pivot but one is zero
+            stack.append(x_state(draw, n))
         else:
             g = re + 1j * im if kind == "complex" else re.astype(complex)
             stack.append((g + g.conj().T) / 2.0)
@@ -230,6 +249,60 @@ def test_hermitian_eigen_stack_equals_each_matrix_bit_for_bit(stack):
         wi, vi = qmatrix.hermitian_eigen(matrix)
         assert wi.tobytes() == w[i].tobytes()
         assert vi.tobytes() == v[i].tobytes()
+
+
+def test_x_states_among_dense_matrices_bit_for_bit(monkeypatch):
+    # the sweeps rotate all matrices in place, a gathered subset or none, per round;
+    # whichever path a round takes, each matrix keeps the bits it gets alone.  Half the
+    # real stack is dense, so a rule that rotated a mostly-live stack whole would turn
+    # a -0.0 on the diagonal of a flipped state into +0.0
+    grid = measures.evaluate_grid(np.array([0.0, 0.3, math.pi / 4])[:, None],
+                                  np.array([0.0, 0.05])[:, None, None], np.array([0.0, 0.5, 0.99]))
+    states = x_state_rho(grid.theta, grid.mu, grid.upsilon, grid.eta)
+    assert len(states) == 18
+    phased = states[::2].copy()  # complex coherences
+    phased[:, 1, 2] *= np.exp(0.7j)
+    phased[:, 2, 1] = phased[:, 1, 2].conj()
+    rng = np.random.default_rng(13)
+    dense = [random_hermitian(rng).real.astype(complex) for _ in range(16)]
+    flipped = -states[6:, [1, 0, 3, 2]][:, :, [1, 0, 3, 2]]  # coherence at (0, 3), -0.0 zeros
+    stack = np.array([*phased, *states[:6], dense[0], *flipped, *dense[1:]])
+    rounds = []  # per sweep: matrices in it, and the matrices rotated in each rotating round
+    sweep, rotate = qmatrix._sweep, qmatrix._rotate
+
+    def recording_sweep(hv, n):
+        rounds.append((hv.shape[-1], []))
+        sweep(hv, n)
+
+    def recording_rotate(hv, *rest):
+        rounds[-1][1].append(hv.shape[-1])
+        rotate(hv, *rest)
+
+    monkeypatch.setattr(qmatrix, "_sweep", recording_sweep)
+    monkeypatch.setattr(qmatrix, "_rotate", recording_rotate)
+    w, v = qmatrix.hermitian_eigen(stack)
+    assert any(size in rotated for size, rotated in rounds)  # every matrix, in place
+    assert any(0 < k < size for size, rotated in rounds for k in rotated)  # a gathered subset
+    assert any(len(rotated) < len(qmatrix._ROUNDS[4]) for _, rotated in rounds)  # a skipped round
+    for i, matrix in enumerate(stack):
+        wi, vi = qmatrix.hermitian_eigen(matrix)
+        assert wi.tobytes() == w[i].tobytes()
+        assert vi.tobytes() == v[i].tobytes()
+
+
+def test_density_eigen_temporaries_stay_within_five_inputs():
+    grid = measures.evaluate_grid(np.linspace(0.1, 1.4, 256), 0.05, 0.5)
+    rho = x_state_rho(grid.theta, grid.mu, grid.upsilon, grid.eta)
+    assert rho.nbytes == 64 * 1024
+    qmatrix.density_eigen(rho)  # first-call costs stay out
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        qmatrix.density_eigen(rho)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * rho.nbytes
 
 
 def test_hermitian_eigen_stack_matches_lapack():
@@ -257,6 +330,10 @@ def test_stack_errors_name_the_matrix():
     with pytest.raises(ValueError, match=r"unit trace.*\(matrix 0 of the stack\)"):
         qmatrix.density_eigen(stack)
     stack[0, 0, 0] -= 1e-6
+    stack[1, 3, 3] = np.nan
+    for solve in (qmatrix.density_eigen, qmatrix.hermitian_eigen):
+        with pytest.raises(ValueError, match=r"finite \(matrix 1 of the stack\)"):
+            solve(stack)
     stack[1] = np.diag([0.5, 0.5, 0.5, -0.5])
     with pytest.raises(ValueError, match=r"positive semidefinite.*\(matrix 1 of the stack\)"):
         qmatrix.density_eigen(stack)

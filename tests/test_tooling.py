@@ -6,6 +6,9 @@
 * The density-matrix rule (its tolerances, its fault finders and the
   stack-index suffix of its errors) lives in ``qmatrix`` alone; every other
   module reaches it through ``density_eigen`` or ``_density_spectrum``.
+* So does the unchecked solve (``_unchecked_eigen`` and ``_jacobi``), which
+  trusts its caller to have validated the stack; every other module solves
+  through ``hermitian_eigen``, ``density_eigen`` or ``_density_spectrum``.
 * The README's "Library entry points" block runs, and it imports exactly
   the names in ``qfesim.__all__``.
 """
@@ -21,6 +24,7 @@ SOURCES = sorted((ROOT / "src" / "qfesim").glob("*.py"))
 FORBIDDEN_PACKAGES = {"scipy", "mpmath", "sympy", "hypothesis"}
 DENSITY_RULE_NAMES = {"EIGENVALUE_FLOOR", "HERMITIAN_TOL", "TRACE_TOL",
                       "_density_fault", "_psd_fault", "_in_stack"}
+UNCHECKED_SOLVE_NAMES = {"_unchecked_eigen", "_jacobi"}
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -67,7 +71,7 @@ def test_scan_catches_each_forbidden_form():
         assert _violations(ast.parse(source)), source
 
 
-def _density_rule_uses(tree: ast.AST) -> list[str]:
+def _uses(tree: ast.AST, confined: set[str]) -> list[str]:
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -78,18 +82,21 @@ def _density_rule_uses(tree: ast.AST) -> list[str]:
             names = [node.attr]
         else:
             names = []
-        found += [f"line {node.lineno}: {name}" for name in names if name in DENSITY_RULE_NAMES]
+        found += [f"line {node.lineno}: {name}" for name in names if name in confined]
     return found
 
 
-def test_only_qmatrix_names_the_density_matrix_rule():
-    bad = {
+def _outside_qmatrix(confined: set[str]) -> dict:
+    return {
         path.name: hits
         for path in SOURCES
         if path.name != "qmatrix.py"
-        and (hits := _density_rule_uses(ast.parse(path.read_text(encoding="utf-8"))))
+        and (hits := _uses(ast.parse(path.read_text(encoding="utf-8")), confined))
     }
-    assert bad == {}
+
+
+def test_only_qmatrix_names_the_density_matrix_rule():
+    assert _outside_qmatrix(DENSITY_RULE_NAMES) == {}
 
 
 def test_density_rule_scan_catches_each_form():
@@ -101,8 +108,27 @@ def test_density_rule_scan_catches_each_form():
         "qfesim.qmatrix.TRACE_TOL",
         "_in_stack(m, 0)",
     ):
-        assert _density_rule_uses(ast.parse(source)), source
-    assert not _density_rule_uses(ast.parse("from .qmatrix import _density_spectrum"))
+        assert _uses(ast.parse(source), DENSITY_RULE_NAMES), source
+    assert not _uses(ast.parse("from .qmatrix import _density_spectrum"), DENSITY_RULE_NAMES)
+
+
+def test_only_qmatrix_names_the_unchecked_solve():
+    assert _outside_qmatrix(UNCHECKED_SOLVE_NAMES) == {}
+
+
+def test_unchecked_solve_scan_catches_each_form():
+    for source in (
+        "from .qmatrix import _unchecked_eigen",
+        "from .qmatrix import _jacobi as solve",
+        "from . import qmatrix\nqmatrix._unchecked_eigen(stack)",
+        "qfesim.qmatrix._jacobi((m.real,))",
+        "_unchecked_eigen(stack)",
+        "solve = _jacobi",
+    ):
+        assert _uses(ast.parse(source), UNCHECKED_SOLVE_NAMES), source
+    for source in ("from .qmatrix import hermitian_eigen, _density_spectrum",
+                   "qmatrix.density_eigen(rho)"):
+        assert not _uses(ast.parse(source), UNCHECKED_SOLVE_NAMES), source
 
 
 def _readme_entry_point_block() -> str:
