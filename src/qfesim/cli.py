@@ -76,24 +76,41 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"invalid boolean {text!r}")
 
 
-_CONFIG_PARSERS = {
-    "theta": _parse_theta,
-    "nu": _parse_float,
-    "q": _parse_float,
-    "omega": _parse_float,
-    "accel": _parse_float,
-    "variable": str,
-    "min": _parse_float,
-    "max": _parse_float,
-    "steps": _parse_int,
-    "which": str,
-    "output": str,
-    "oracle": _parse_bool,
+_POINT_VERBS = ("state", "sweep", "peak")
+_RANGE_VERBS = ("sweep", "peak")
+
+# Every option but --config, in usage order: key -> (parse function, verbs
+# that take it, argparse keywords).  Both the flags and the config-file keys
+# come from here; a config file gives ``variable`` and ``which`` as plain
+# strings, so the library reports a bad one.
+_OPTIONS = {
+    "output": (str, ("state", "sweep", "figure", "peak", "check"),
+               dict(help="destination file (default: stdout)")),
+    "theta": (_parse_theta, _POINT_VERBS,
+              dict(help="initial entanglement angle in radians, or pi/3, pi/4, pi/5, pi/8")),
+    "nu": (_parse_float, _POINT_VERBS, dict(help="effective coupling")),
+    "q": (_parse_float, _POINT_VERBS, dict(help="acceleration parameter in [0, 1)")),
+    "omega": (_parse_float, _POINT_VERBS, dict(help="detector energy gap")),
+    "accel": (_parse_float, _POINT_VERBS, dict(help="proper acceleration")),
+    "variable": (str, _RANGE_VERBS, dict(choices=("q", "theta"),
+                                         help="the variable to sweep, or to search for the peak")),
+    "min": (_parse_float, _RANGE_VERBS,
+            dict(help="lower bound of the sweep or of the peak search (peak default: 0)")),
+    "max": (_parse_float, _RANGE_VERBS,
+            dict(help=f"upper bound of the sweep or of the peak search (peak default: "
+                      f"{DEFAULT_Q_MAX} for q, pi/2 for theta)")),
+    "steps": (_parse_int, ("sweep",), dict(help=f"number of grid points, 2 to {MAX_STEPS}")),
+    "which": (str, ("figure",),
+              dict(choices=("fig1", "fig2", "fig3"), help="preset sweep family")),
+    "oracle": (_parse_bool, ("state", "sweep", "figure"),
+               dict(action="store_true", default=None,
+                    help="cross-check the printed concurrence and entropy against "
+                         "the matrix route at every point")),
 }
 
 
 def load_config(path: str) -> dict:
-    """Read a flat ``key = value`` file; keys mirror the long flags."""
+    """Read a flat ``key = value`` file; the keys are the long flags of ``_OPTIONS``."""
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -104,10 +121,10 @@ def load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_PARSERS:
+            if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _CONFIG_PARSERS[key](value.strip())
+                values[key] = _OPTIONS[key][0](value.strip())
             except argparse.ArgumentTypeError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
@@ -154,80 +171,35 @@ def _build_parser() -> argparse.ArgumentParser:
         "an accelerated detector pair, emitted as CSV.",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    def common(p, params=False, output=True):
+    verb_parsers = {}
+    for verb, (text, _) in _VERBS.items():
+        p = verb_parsers[verb] = sub.add_parser(verb, help=text)
         p.add_argument("--config", help="flat key = value preset file; flags win")
-        if output:
-            p.add_argument("--output", help="destination file (default: stdout)")
-        if params:
-            p.add_argument(
-                "--theta",
-                type=_parse_theta,
-                help="initial entanglement angle in radians, or pi/3, pi/4, pi/5, pi/8",
-            )
-            p.add_argument("--nu", type=_parse_float, help="effective coupling")
-            p.add_argument("--q", type=_parse_float, help="acceleration parameter in [0, 1)")
-            p.add_argument("--omega", type=_parse_float, help="detector energy gap")
-            p.add_argument("--accel", type=_parse_float, help="proper acceleration")
-
-    p_state = sub.add_parser("state", help="evaluate a single parameter point")
-    common(p_state, params=True)
-    p_state.add_argument(
-        "--oracle", action="store_true", default=None,
-        help="cross-check the closed-form concurrence numerically",
-    )
-
-    p_sweep = sub.add_parser("sweep", help="sweep q or theta over a uniform grid")
-    common(p_sweep, params=True)
-    p_sweep.add_argument("--variable", choices=("q", "theta"))
-    p_sweep.add_argument("--min", type=_parse_float, help="sweep lower bound")
-    p_sweep.add_argument("--max", type=_parse_float, help="sweep upper bound")
-    p_sweep.add_argument(
-        "--steps", type=_parse_int, help=f"number of grid points, 2 to {MAX_STEPS}"
-    )
-    p_sweep.add_argument("--oracle", action="store_true", default=None)
-
-    p_figure = sub.add_parser("figure", help="run a preset collection of sweeps")
-    common(p_figure)
-    p_figure.add_argument("--which", choices=("fig1", "fig2", "fig3"))
-    p_figure.add_argument("--oracle", action="store_true", default=None)
-
-    p_peak = sub.add_parser("peak", help="locate the fluctuation maximum")
-    common(p_peak, params=True)
-    p_peak.add_argument("--variable", choices=("q", "theta"))
-    p_peak.add_argument("--min", type=_parse_float, help="bracket lower bound")
-    p_peak.add_argument("--max", type=_parse_float, help="bracket upper bound")
-
-    p_check = sub.add_parser(
-        "check", help="run the closed-form vs matrix-route self check grid"
-    )
-    common(p_check)
+    for key, (parse, verbs, keywords) in _OPTIONS.items():
+        if "action" not in keywords:
+            keywords = dict(keywords, type=parse)
+        for verb in verbs:
+            verb_parsers[verb].add_argument(f"--{key}", **keywords)
     return parser
 
 
-def _option(args, config, key, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _option(args, key, default):
+    value = getattr(args, key)
+    return default if value is None else value
 
 
-def _make_params(args, config) -> DetectorParams:
-    omega = _option(args, config, "omega")
-    accel = _option(args, config, "accel")
-    if (omega is None) != (accel is None):
-        given, missing = ("omega", "accel") if accel is None else ("accel", "omega")
+def _make_params(args) -> DetectorParams:
+    if (args.omega is None) != (args.accel is None):
+        given, missing = ("omega", "accel") if args.accel is None else ("accel", "omega")
         raise ValueError(
             f"--{given} needs --{missing}: q = exp(-2*pi*omega/accel) takes both"
         )
     return DetectorParams(
-        theta=_option(args, config, "theta", DEFAULT_THETA),
-        nu=_option(args, config, "nu", DEFAULT_NU),
-        q=_option(args, config, "q"),
-        omega=omega,
-        accel=accel,
+        theta=_option(args, "theta", DEFAULT_THETA),
+        nu=_option(args, "nu", DEFAULT_NU),
+        q=args.q,
+        omega=args.omega,
+        accel=args.accel,
     )
 
 
@@ -236,61 +208,50 @@ def _warn_validity(params: DetectorParams) -> None:
         print(f"warning: {note}", file=sys.stderr)
 
 
-def _run_state(args, config) -> int:
-    params = _make_params(args, config)
+def _run_state(args) -> int:
+    params = _make_params(args)
     _warn_validity(params)
-    cross_check = bool(_option(args, config, "oracle", False))
-    grid = evaluate_grid(params.theta, params.nu, params.q, cross_check=cross_check)
-    write_csv(grid, _option(args, config, "output"))
+    grid = evaluate_grid(params.theta, params.nu, params.q, cross_check=bool(args.oracle))
+    write_csv(grid, args.output)
     return 0
 
 
-def _run_sweep(args, config) -> int:
-    variable = _option(args, config, "variable")
-    lo = _option(args, config, "min")
-    hi = _option(args, config, "max")
-    steps = _option(args, config, "steps")
-    if variable is None or lo is None or hi is None or steps is None:
+def _run_sweep(args) -> int:
+    if args.variable is None or args.min is None or args.max is None or args.steps is None:
         raise ValueError("sweep requires --variable, --min, --max and --steps")
-    params = _make_params(args, config)
+    params = _make_params(args)
     _warn_validity(params)
-    spec = SweepSpec(variable=variable, min=lo, max=hi, steps=steps, fixed=params)
-    grid = sweep_grid([spec], cross_check=bool(_option(args, config, "oracle", False)))
-    write_csv(grid, _option(args, config, "output"))
+    spec = SweepSpec(variable=args.variable, min=args.min, max=args.max, steps=args.steps,
+                     fixed=params)
+    write_csv(sweep_grid([spec], cross_check=bool(args.oracle)), args.output)
     return 0
 
 
-def _run_figure(args, config) -> int:
-    which = _option(args, config, "which")
-    if which is None:
+def _run_figure(args) -> int:
+    if args.which is None:
         raise ValueError("figure requires --which (fig1, fig2 or fig3)")
-    cross_check = bool(_option(args, config, "oracle", False))
-    write_csv(sweep_grid(figure_preset(which), cross_check=cross_check),
-              _option(args, config, "output"))
+    write_csv(sweep_grid(figure_preset(args.which), cross_check=bool(args.oracle)),
+              args.output)
     return 0
 
 
-def _run_peak(args, config) -> int:
-    variable = _option(args, config, "variable")
-    if variable is None:
+def _run_peak(args) -> int:
+    if args.variable is None:
         raise ValueError("peak requires --variable (q or theta)")
-    if variable == "q":
-        default_lo, default_hi = 0.0, DEFAULT_Q_MAX
-    else:
-        default_lo, default_hi = 0.0, math.pi / 2
-    lo = _option(args, config, "min", default_lo)
-    hi = _option(args, config, "max", default_hi)
-    params = _make_params(args, config)
+    default_hi = DEFAULT_Q_MAX if args.variable == "q" else math.pi / 2
+    lo = _option(args, "min", 0.0)
+    hi = _option(args, "max", default_hi)
+    params = _make_params(args)
     _warn_validity(params)
-    result = find_qfe_peak(params, variable, (lo, hi))
+    result = find_qfe_peak(params, args.variable, (lo, hi))
     _emit(
         [PEAK_HEADER, f"{_format_real(result.location)},{_format_real(result.value)}"],
-        _option(args, config, "output"),
+        args.output,
     )
     return 0
 
 
-def _run_check(args, config) -> int:
+def _run_check(args) -> int:
     result = oracle_scan()
     _emit(
         [
@@ -299,7 +260,7 @@ def _run_check(args, config) -> int:
             f"max_eigenvalue_deviation,{_format_real(result.max_eigenvalue_deviation)}",
             f"grid_points,{result.points}",
         ],
-        _option(args, config, "output"),
+        args.output,
     )
     status = 0
     for name, deviation in (
@@ -316,12 +277,12 @@ def _run_check(args, config) -> int:
     return status
 
 
-_DISPATCH = {
-    "state": _run_state,
-    "sweep": _run_sweep,
-    "figure": _run_figure,
-    "peak": _run_peak,
-    "check": _run_check,
+_VERBS = {
+    "state": ("evaluate a single parameter point", _run_state),
+    "sweep": ("sweep q or theta over a uniform grid", _run_sweep),
+    "figure": ("run a preset collection of sweeps", _run_figure),
+    "peak": ("locate the fluctuation maximum", _run_peak),
+    "check": ("run the closed-form vs matrix-route self check grid", _run_check),
 }
 
 
@@ -329,8 +290,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else {}
-        return _DISPATCH[args.verb](args, config)
+        if args.config:
+            for key, value in load_config(args.config).items():
+                if getattr(args, key, None) is None:  # a given flag wins
+                    setattr(args, key, value)
+        return _VERBS[args.verb][1](args)
     except CrossCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

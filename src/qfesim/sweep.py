@@ -199,12 +199,12 @@ def find_qfe_peak(
     if variable not in ("q", "theta"):
         raise ValueError(f"variable must be 'q' or 'theta', got {variable!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("bracket must be finite")
     if not lo < hi:
         raise ValueError(f"bracket needs lo < hi, got [{lo}, {hi}]")
     if variable == "q" and not (0.0 <= lo and hi < 1.0):
         raise ValueError(f"q bracket must lie in [0, 1), got [{lo}, {hi}]")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("bracket must be finite")
 
     xs = np.linspace(lo, hi, _COARSE_STEPS)
     vals = evaluate_grid(*_along(fixed, variable, xs)).qfe

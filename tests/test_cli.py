@@ -318,3 +318,73 @@ def test_check_stdout_is_exactly_three_metrics(capsys):
     ]
     assert lines[3] == "grid_points,13200"
     assert lines[-1] == ""
+
+
+@pytest.mark.parametrize("side", ["--min", "--max"])
+@pytest.mark.parametrize("variable", ["q", "theta"])
+def test_peak_rejects_a_nan_bound_as_not_finite(capsys, variable, side):
+    code = cli.main(["peak", "--variable", variable, side, "nan"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: bracket must be finite\n")
+
+
+ORACLE_SWEEP = ["sweep", "--variable", "q", "--min", "0.2", "--max", "0.5", "--steps", "4",
+                "--theta", "0.5"]
+
+# key -> (argv without the key, a value for it).  Each value changes the
+# outcome of the argv, so a config key that is parsed but never read fails.
+CONFIG_CASES = {
+    "output": (["state", "--q", "0.3"], "{tmp}/row.csv"),
+    "theta": (["state"], "pi/8"),
+    "nu": (["state"], "0.02"),
+    "q": (["state"], "0.5"),
+    "omega": (["state", "--accel", "9.0"], "1"),
+    "accel": (["state", "--omega", "1"], "9.0"),
+    "variable": (["peak"], "theta"),
+    "min": (["peak", "--variable", "q"], "0.995"),
+    "max": (["peak", "--variable", "q"], "0.5"),
+    "steps": (["sweep", "--variable", "q", "--min", "0", "--max", "0.9"], "7"),
+    "which": (["figure"], "fig3"),
+    "oracle": (ORACLE_SWEEP, "yes"),  # the oracle is made to fail: exit 1 only if it runs
+}
+
+
+@pytest.mark.parametrize("key", list(cli._OPTIONS))
+def test_config_key_acts_like_its_flag(key, tmp_path, capsys, monkeypatch):
+    from qfesim import measures
+
+    argv, value = CONFIG_CASES[key]
+    value = value.format(tmp=tmp_path)
+    if key == "oracle":
+        real = measures._spin_flip
+        monkeypatch.setattr(measures, "_spin_flip", lambda eig: real(eig) + 1e-6)
+    config = tmp_path / "preset.cfg"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    destination = tmp_path / "row.csv"
+    outcomes = []
+    for extra in ([f"--{key}"] if key == "oracle" else [f"--{key}", value],
+                  ["--config", str(config)],
+                  []):
+        code = cli.main(argv + extra)
+        captured = capsys.readouterr()
+        written = destination.read_text(encoding="utf-8") if destination.exists() else None
+        destination.unlink(missing_ok=True)
+        outcomes.append((code, captured.out, captured.err, written))
+    by_flag, by_config, without = outcomes
+    assert by_config == by_flag
+    assert without != by_flag
+
+
+@pytest.mark.parametrize("line, message", [
+    ("theta = pi/7", "invalid theta 'pi/7': expected a decimal or one of pi/3, pi/4, pi/5, pi/8"),
+    ("nu = abc", "invalid number 'abc'"),
+    ("steps = 2.5", "invalid integer '2.5'"),
+    ("oracle = maybe", "invalid boolean 'maybe'"),
+    ("theta 0.5", "expected 'key = value', got 'theta 0.5'"),
+])
+def test_config_errors_name_the_path_and_line(line, message, tmp_path, capsys):
+    config = tmp_path / "preset.cfg"
+    config.write_text(f"q = 0.5\n\n{line}\n", encoding="utf-8")
+    code = cli.main(["state", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {config}:3: {message}\n")

@@ -4,7 +4,12 @@ Each case runs one CLI invocation in process and compares its stdout, byte
 for byte, with ``tests/golden/<name>.csv`` (``.csv.gz`` for the figure
 presets: gzip level 9, no file name or timestamp).  A change that alters
 any printed digit fails here and must announce the change and regenerate
-the files:
+the files.  ``tests/golden/usage_errors.txt`` holds the exit status and
+stderr of argparse's usage errors (a missing verb, an unknown verb or flag,
+a bad choice or value, a flag given a value it does not take), at an
+80-column width.  That text is Python's own and its wording varies between
+Python versions, so it is compared only under the version that wrote it.
+Regenerate with:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -12,8 +17,10 @@ the files:
 import contextlib
 import gzip
 import io
+import os
 import pathlib
 import sys
+from unittest import mock
 
 import pytest
 
@@ -46,6 +53,42 @@ CASES = {
     ],
 }
 
+VERBS = ("state", "sweep", "figure", "peak", "check")
+USAGE_CASES = (
+    [[], ["render"]]
+    + [[verb, "--frobnicate", "1"] for verb in VERBS]
+    + [[verb, "--output"] for verb in VERBS]
+    + [
+        ["sweep", "--variable", "x"],
+        ["peak", "--variable", "z"],
+        ["figure", "--which", "fig9"],
+        ["state", "--nu", "abc"],
+        ["peak", "--min", "1e"],
+        ["sweep", "--steps", "2.5"],
+        ["state", "--theta", "pi/7"],
+        ["state", "--oracle=1"],
+        ["sweep", "--oracle=yes"],
+        ["figure", "--oracle=1"],
+        ["peak", "--oracle"],
+    ]
+)
+USAGE_GOLDEN = GOLDEN_DIR / "usage_errors.txt"
+USAGE_PYTHON = (3, 11)  # the version whose argparse wrote USAGE_GOLDEN
+
+
+def usage_transcript() -> str:
+    """Each usage case's argv, exit status and stderr, at an 80-column width."""
+    parts = []
+    for argv in USAGE_CASES:
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        parts.append(f"$ {' '.join(['qfesim', *argv])}\nexit {code}\n{err.getvalue()}")
+    return "".join(parts)
+
 
 def golden_path(name: str) -> pathlib.Path:
     suffix = ".csv.gz" if name.startswith("figure_") else ".csv"
@@ -70,6 +113,13 @@ def test_cli_output_matches_golden(name, capsys):
     assert capsys.readouterr().out.encode("ascii") == read_golden(name)
 
 
+@pytest.mark.skipif(sys.version_info[:2] != USAGE_PYTHON,
+                    reason="argparse's wording differs between Python versions")
+def test_usage_errors_match_golden(capsys):
+    assert usage_transcript().encode("ascii") == USAGE_GOLDEN.read_bytes()
+    assert capsys.readouterr().out == ""
+
+
 def _regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in CASES.items():
@@ -80,6 +130,9 @@ def _regenerate() -> None:
             raise SystemExit(f"{name}: exit status {code}")
         write_golden(name, buffer.getvalue().encode("ascii"))
         print(f"wrote {golden_path(name)}", file=sys.stderr)
+    if sys.version_info[:2] == USAGE_PYTHON:
+        USAGE_GOLDEN.write_bytes(usage_transcript().encode("ascii"))
+        print(f"wrote {USAGE_GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":

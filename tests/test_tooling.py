@@ -11,6 +11,8 @@
   through ``hermitian_eigen``, ``density_eigen`` or ``_density_spectrum``.
 * The README's "Library entry points" block runs, and it imports exactly
   the names in ``qfesim.__all__``.
+* The README's "Config keys" table lists the CLI option table's keys, in
+  its order, each with the verbs that take it.
 """
 
 import ast
@@ -18,6 +20,7 @@ import pathlib
 import re
 
 import qfesim
+from qfesim import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "qfesim").glob("*.py"))
@@ -147,3 +150,14 @@ def test_readme_entry_points_run_and_match_all():
     }
     assert imported == set(qfesim.__all__) - {"__version__"}
     exec(compile(code, "README.md", "exec"), {})
+
+
+def _readme_config_keys() -> list:
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("### Config keys", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \|[^|\n]*\| ([^|\n]*) \|$", section.split("\n#", 1)[0], re.M)
+    return [(key, verbs.split(", ")) for key, verbs in rows]
+
+
+def test_readme_lists_each_config_key_with_its_verbs():
+    assert _readme_config_keys() == [(key, list(verbs))
+                                     for key, (_, verbs, _) in cli._OPTIONS.items()]
