@@ -3,8 +3,9 @@
 Verbs: ``state`` (one parameter point), ``sweep`` (explicit grid),
 ``figure`` (preset grids fig1/fig2/fig3), ``peak`` (fluctuation maximum)
 and ``check`` (closed-form vs matrix-route self check).  Results go to the
-data stream as CSV with 9-significant-digit reals; diagnostics go to the
-error stream; the exit status is nonzero on any error.
+data stream as CSV with 9-significant-digit reals, formatted and written
+1,024 rows at a time so memory does not grow with the grid; diagnostics go
+to the error stream; the exit status is nonzero on any error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterable, Iterator
+
+import numpy as np
 
 from .detector import DetectorParams, validity_check
 from .measures import CROSS_CHECK_TOL, CrossCheckError, GridValues, evaluate_grid
@@ -134,34 +138,43 @@ def _format_real(value: float) -> str:
     return "%#.9g" % value
 
 
-_REALS = ",".join(["%#.9g"] * 9)
-_CHUNK_ROWS = 1024  # grid rows turned into Python floats at a time; bounds peak memory
+_CHUNK_ROWS = 1024  # grid rows formatted at a time; bounds peak memory
 
 
-def _csv_line(row) -> str:
-    """(q, theta, nu, mu, upsilon, eta, C, S, QFE, ratio); a NaN ratio is blank."""
-    ratio = row[9]
-    tail = "," if ratio != ratio else ",%#.9g" % ratio
-    return _REALS % row[:9] + tail
+def _csv_text(grid: GridValues) -> Iterator[str]:
+    """Yield the header, then the rows of ``_CHUNK_ROWS`` points at a time.
 
-
-def _grid_rows(grid: GridValues):
+    A row is (q, theta, nu, mu, upsilon, eta, C, S, QFE, ratio) with a NaN
+    ratio blank.  A column whose bits are the same in every row of a chunk
+    is formatted once into the chunk's row template, and one ``%`` fills
+    the template's other columns for the whole chunk.
+    """
+    yield CSV_HEADER + "\n"
     for start in range(0, len(grid.q), _CHUNK_ROWS):
-        yield from zip(*(column[start:start + _CHUNK_ROWS].tolist() for column in grid))
+        chunk = np.column_stack([column[start:start + _CHUNK_ROWS] for column in grid])
+        bits = chunk.view(np.uint64)
+        constant = (bits == bits[0]).all(axis=0)
+        fields = ["%#.9g"] * 10
+        first = chunk[0].tolist()
+        for j in np.flatnonzero(constant).tolist():
+            fields[j] = "" if j == 9 and first[j] != first[j] else _format_real(first[j])
+        template = ",".join(fields) + "\n"
+        text = (template * len(chunk)) % tuple(chunk[:, ~constant].ravel().tolist())
+        yield text if constant[9] else text.replace(",nan\n", ",\n")
 
 
-def _emit(lines: list[str], destination: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(pieces: Iterable[str], destination: str | None) -> None:
+    """Write ``pieces``, each ending in a newline, to ``destination`` or stdout."""
     if destination is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(destination, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def write_csv(grid: GridValues, destination: str | None = None) -> None:
     """Emit one row per grid point under the fixed header; ``None`` writes to stdout."""
-    _emit([CSV_HEADER] + [_csv_line(row) for row in _grid_rows(grid)], destination)
+    _emit(_csv_text(grid), destination)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -245,7 +258,7 @@ def _run_peak(args) -> int:
     _warn_validity(params)
     result = find_qfe_peak(params, args.variable, (lo, hi))
     _emit(
-        [PEAK_HEADER, f"{_format_real(result.location)},{_format_real(result.value)}"],
+        [f"{PEAK_HEADER}\n", f"{_format_real(result.location)},{_format_real(result.value)}\n"],
         args.output,
     )
     return 0
@@ -255,10 +268,10 @@ def _run_check(args) -> int:
     result = oracle_scan()
     _emit(
         [
-            CHECK_HEADER,
-            f"max_concurrence_deviation,{_format_real(result.max_concurrence_deviation)}",
-            f"max_eigenvalue_deviation,{_format_real(result.max_eigenvalue_deviation)}",
-            f"grid_points,{result.points}",
+            f"{CHECK_HEADER}\n",
+            f"max_concurrence_deviation,{_format_real(result.max_concurrence_deviation)}\n",
+            f"max_eigenvalue_deviation,{_format_real(result.max_eigenvalue_deviation)}\n",
+            f"grid_points,{result.points}\n",
         ],
         args.output,
     )
@@ -286,9 +299,41 @@ _VERBS = {
 }
 
 
+_NUMBER_PARSERS = (_parse_theta, _parse_float, _parse_int)
+
+
+def _takes_negative(flag: str, verb: str, token: str) -> bool:
+    """Whether ``token`` is a value of ``flag``, a number flag of ``verb``."""
+    parse, verbs, _ = _OPTIONS.get(flag.removeprefix("--"), (None, (), None))
+    if not flag.startswith("--") or parse not in _NUMBER_PARSERS or verb not in verbs:
+        return False
+    try:
+        parse(token)
+    except argparse.ArgumentTypeError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--key -value`` as ``--key=-value`` where ``-value`` is a number for ``key``.
+
+    argparse reads a token such as ``-1e-3`` or ``-inf`` as a flag of its own;
+    only plain negatives such as ``-1`` and ``-.5`` pass as values.
+    """
+    joined = []
+    for index, token in enumerate(argv):
+        if token == "--":
+            return joined + argv[index:]
+        if joined and token.startswith("-") and _takes_negative(joined[-1], argv[0], token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         if args.config:
             for key, value in load_config(args.config).items():

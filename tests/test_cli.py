@@ -1,10 +1,16 @@
+import contextlib
+import io
 import math
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfesim import cli
-from qfesim.measures import evaluate_grid
+from qfesim.measures import GridValues, evaluate_grid
 from qfesim.sweep import figure_preset, run_sweep
 
 C_WORKED = 0.9927416847761567
@@ -388,3 +394,131 @@ def test_config_errors_name_the_path_and_line(line, message, tmp_path, capsys):
     code = cli.main(["state", "--config", str(config)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {config}:3: {message}\n")
+
+
+CHUNK = cli._CHUNK_ROWS
+ROW_COUNTS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+# NaN of both signs, infinities, signed zeros, the %g switch points, extremes
+POOL = (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 9.99999999e-05, 1e-4,
+        999999999.5, 1.0, 0.1, -2.5, 5e-324, 1.7976931348623157e308)
+KINDS = ("constant", "per_chunk", "last_row", "edges", "random", "signed_zeros")
+
+
+def reference_csv(grid) -> str:
+    """One ``%`` per row: the writer's rule stated row by row."""
+    lines = [cli.CSV_HEADER]
+    for row in zip(*(column.tolist() for column in grid)):
+        ratio = row[9]
+        tail = "," if ratio != ratio else ",%#.9g" % ratio
+        lines.append(",".join(["%#.9g"] * 9) % row[:9] + tail)
+    return "\n".join(lines) + "\n"
+
+
+def plan_column(kind, a, b, rows, rng):
+    """A column of ``rows`` values built from the pool indices ``a`` and ``b``."""
+    column = np.full(rows, POOL[a])
+    chunk_ends = np.arange(CHUNK - 1, rows, CHUNK)
+    if kind == "per_chunk":  # constant within each chunk, different in the next
+        column = np.array([POOL[(a + i // CHUNK) % len(POOL)] for i in range(rows)])
+    elif kind == "last_row":  # differs only in each chunk's last row and the grid's last
+        column[np.append(chunk_ends, rows - 1) if rows else chunk_ends] = POOL[b]
+    elif kind == "edges":  # differs on both sides of every chunk edge
+        edges = np.concatenate([chunk_ends, chunk_ends + 1, [0, rows - 1]]).astype(int)
+        column[edges[(edges >= 0) & (edges < rows)]] = POOL[b]
+    elif kind == "random":
+        column = rng.choice(np.array(POOL), rows)
+    elif kind == "signed_zeros":
+        column = rng.choice(np.array([0.0, -0.0]), rows)
+    return column
+
+
+def plan_grid(plan) -> GridValues:
+    rows, columns, seed = plan
+    rng = np.random.default_rng(seed)
+    return GridValues(*(plan_column(kind, a, b, rows, rng) for kind, a, b in columns))
+
+
+def written(grid) -> tuple[str, str]:
+    """What ``write_csv`` prints to stdout, and what it writes to a file."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli.write_csv(grid)
+    with tempfile.TemporaryDirectory() as directory:
+        path = f"{directory}/out.csv"
+        cli.write_csv(grid, path)
+        with open(path, "rb") as handle:
+            return stdout.getvalue(), handle.read().decode("ascii")
+
+
+NAN, ONE, MINUS_ZERO = POOL.index(math.nan), POOL.index(1.0), POOL.index(-0.0)
+PLANS = st.tuples(
+    st.sampled_from(ROW_COUNTS),
+    st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, len(POOL) - 1),
+                       st.integers(0, len(POOL) - 1)), min_size=10, max_size=10),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=PLANS)
+@example(plan=(0, [("constant", ONE, ONE)] * 10, 0))
+@example(plan=(1, [("random", NAN, NAN)] * 10, 1))
+@example(plan=(2 * CHUNK + 1, [("edges", ONE, NAN)] * 10, 2))  # NaN ratios at chunk edges
+@example(plan=(CHUNK + 1, [("per_chunk", ONE, ONE)] * 9 + [("constant", NAN, NAN)], 3))
+@example(plan=(CHUNK, [("last_row", ONE, MINUS_ZERO)] * 9 + [("random", NAN, NAN)], 4))
+@example(plan=(CHUNK - 1, [("signed_zeros", ONE, ONE)] * 9 + [("last_row", ONE, NAN)], 5))
+def test_write_csv_matches_the_per_row_writer(plan):
+    grid = plan_grid(plan)
+    expected = reference_csv(grid)
+    assert written(grid) == (expected, expected)
+
+
+def test_write_csv_streams_in_bounded_memory(tmp_path):
+    # A q sweep at nu = 0 varies in q alone, which keeps tracemalloc's per-object
+    # cost small; a writer that keeps every line peaks above 70 MB here.
+    grid = evaluate_grid(math.pi / 4, 0.0, np.linspace(0.0, 0.999, 200_000))
+    destination = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        cli.write_csv(grid, str(destination))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert destination.read_bytes().count(b"\n") == 1 + 200_000
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["state"], "--theta", "-1e-3"),
+    (["state"], "--theta", "-.5"),
+    (["state", "--q", "0.5"], "--nu", "-1E-2"),
+    (["peak", "--variable", "q"], "--min", "-inf"),
+    (["peak", "--variable", "theta"], "--min", "-.5"),
+    (["sweep", "--variable", "theta", "--max", "0.5", "--steps", "3"], "--min", "-1e-3"),
+])
+def test_a_negative_flag_value_reads_like_the_attached_form(argv, flag, value, capsys):
+    outcomes = []
+    for extra in ([flag, value], [f"{flag}={value}"]):
+        code = cli.main(argv + extra)
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_peak_reads_a_negative_infinite_bound(capsys):
+    code = cli.main(["peak", "--variable", "q", "--min", "-inf"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: bracket must be finite\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["state", "--theta", "-pi/4"], "argument --theta: expected one argument"),
+    (["sweep", "--steps", "-1e3"], "argument --steps: expected one argument"),
+    (["state", "--output", "-x"], "argument --output: expected one argument"),
+    (["figure", "--theta", "-1e-3"], "unrecognized arguments: --theta -1e-3"),
+])
+def test_a_dash_token_that_is_no_value_of_the_flag_stays_an_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")

@@ -13,14 +13,20 @@
   the names in ``qfesim.__all__``.
 * The README's "Config keys" table lists the CLI option table's keys, in
   its order, each with the verbs that take it.
+* ``cli.write_csv`` writes through ``cli._emit``, once per call: the
+  benchmark's tracer (``bench/spans.py``) times CSV formatting as those two
+  names, so a rename would silently read ``cli.format_s`` as 0.
 """
 
 import ast
 import pathlib
 import re
 
+import numpy as np
+
 import qfesim
 from qfesim import cli
+from qfesim.measures import evaluate_grid
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "qfesim").glob("*.py"))
@@ -161,3 +167,10 @@ def _readme_config_keys() -> list:
 def test_readme_lists_each_config_key_with_its_verbs():
     assert _readme_config_keys() == [(key, list(verbs))
                                      for key, (_, verbs, _) in cli._OPTIONS.items()]
+
+
+def test_write_csv_writes_through_emit_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_emit", lambda pieces, destination: calls.append(destination))
+    cli.write_csv(evaluate_grid(0.5, 0.05, np.linspace(0.0, 0.9, 3 * cli._CHUNK_ROWS)), "a.csv")
+    assert calls == ["a.csv"]
