@@ -303,9 +303,18 @@ _NUMBER_PARSERS = (_parse_theta, _parse_float, _parse_int)
 
 
 def _takes_negative(flag: str, verb: str, token: str) -> bool:
-    """Whether ``token`` is a value of ``flag``, a number flag of ``verb``."""
-    parse, verbs, _ = _OPTIONS.get(flag.removeprefix("--"), (None, (), None))
-    if not flag.startswith("--") or parse not in _NUMBER_PARSERS or verb not in verbs:
+    """Whether ``token`` is a value of ``flag``, a number flag of ``verb``.
+
+    Like argparse, ``flag`` names an option exactly or by a unique prefix
+    of the verb's long flags.
+    """
+    if not flag.startswith("--"):
+        return False
+    name = flag[2:]
+    keys = [key for key, (_, verbs, _) in _OPTIONS.items() if verb in verbs] + ["config", "help"]
+    matches = [name] if name in keys else [key for key in keys if key.startswith(name)]
+    parse = _OPTIONS.get(matches[0], (None,))[0] if len(matches) == 1 else None
+    if parse not in _NUMBER_PARSERS:
         return False
     try:
         parse(token)

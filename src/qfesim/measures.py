@@ -36,6 +36,7 @@ from .qmatrix import (
     _density_spectrum,
     density_eigen,
     hermitian_eigen,
+    hermitian_eigenvalues,
     partial_trace,
 )
 
@@ -152,7 +153,8 @@ def oracle_deviations(grid: GridValues) -> np.ndarray:
     time (``_CHUNK_POINTS``).  Each chunk is checked once as a stack, by
     the validation of :func:`~qfesim.qmatrix.density_eigen`, and costs two
     batched Jacobi solves: one of rho, giving the entropy, and one of
-    tau in the spin-flip spectrum, so two solved matrices per point.  A
+    tau in the spin-flip spectrum, for its eigenvalues only, so two solved
+    matrices per point.  Real states stay float64 throughout.  A
     ValueError from the matrix route names the point.
     """
     lam = _x_spin_flip_squares(grid.theta, grid.mu, grid.upsilon, grid.eta)
@@ -191,26 +193,33 @@ def _spin_flip(eig: EigenDecomposition) -> np.ndarray:
 
     W = V diag(sqrt p) gives rho = W W+.  The r_i are the singular values
     of tau = W^T (sy x sy) W, since tau+ tau is similar to rho rho~.  A
-    real W (every detector state) gives a real symmetric tau, formed in
-    real arithmetic, and r_i are the moduli of its eigenvalues, so nothing
-    is squared and small r_i keep their relative accuracy.  The real taus
-    are solved as one stack; the states with a complex W fall back to
-    sqrt(eig(tau+ tau)), solved as a second stack.
+    real W (every detector state) gives a real symmetric tau, formed and
+    solved in real arithmetic for its eigenvalues only, and r_i are their
+    moduli, so nothing is squared and small r_i keep their relative
+    accuracy.  Float64 eigenvectors make the whole stack real; otherwise
+    the real W are found row by row, and the states with a complex W fall
+    back to sqrt(eig(tau+ tau)), solved as a second stack.
     """
     p, vecs = eig
     scale = np.sqrt(np.maximum(p, 0.0))[:, None, :]
+    if not np.iscomplexobj(vecs):
+        return -np.sort(-_real_tau_moduli(vecs * scale), axis=1)
     r = np.empty(p.shape)
     complex_w = vecs.imag.any(axis=(1, 2))
     real_w = ~complex_w
     if real_w.any():
-        w = vecs.real[real_w] * scale[real_w]
-        r[real_w] = np.abs(hermitian_eigen(w.swapaxes(1, 2) @ _REAL_FLIP @ w).eigenvalues)
+        r[real_w] = _real_tau_moduli(vecs.real[real_w] * scale[real_w])
     if complex_w.any():
         w = vecs[complex_w] * scale[complex_w]
         tau = w.swapaxes(1, 2) @ FLIP_OPERATOR @ w
-        squares = hermitian_eigen(tau.conj().swapaxes(1, 2) @ tau).eigenvalues
+        squares = hermitian_eigenvalues(tau.conj().swapaxes(1, 2) @ tau)
         r[complex_w] = np.sqrt(np.maximum(squares, 0.0))
     return -np.sort(-r, axis=1)
+
+
+def _real_tau_moduli(w: np.ndarray) -> np.ndarray:
+    """|eigenvalues| of the real symmetric tau = W^T (sy x sy) W of a float64 stack W."""
+    return np.abs(hermitian_eigenvalues(w.swapaxes(1, 2) @ _REAL_FLIP @ w))
 
 
 def _wootters_concurrence(r):

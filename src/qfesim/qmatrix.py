@@ -1,8 +1,10 @@
 """Dense complex matrix routines sized for 2x2 and 4x4 Hermitian problems.
 
-Matrices are numpy ``complex128`` arrays throughout; complex scalars are
-plain Python ``complex``.  :func:`hermitian_eigen` and
-:func:`density_eigen` also take a stack of shape (N, n, n).  A density
+The public results are numpy ``complex128`` arrays; complex scalars are
+plain Python ``complex``.  :func:`hermitian_eigen`,
+:func:`hermitian_eigenvalues` and :func:`density_eigen` also take a stack
+of shape (N, n, n).  A stack with no nonzero imaginary part is checked and
+solved in float64, and is never copied to complex on the way.  A density
 matrix must be finite, Hermitian to within 1e-12, of unit trace to within
 1e-12, and have eigenvalues above -1e-10 (anything in [-1e-10, 0) counts as
 roundoff).  :func:`density_eigen` is the one place that rule is applied
@@ -43,6 +45,7 @@ _ROUNDS = {
     ],
 }
 _UPPER = {n: np.triu_indices(n, 1) for n in _ROUNDS}
+_DIAGONAL = {n: np.arange(n) for n in _ROUNDS}
 _FLIP = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
 
 
@@ -57,12 +60,25 @@ class EigenDecomposition(NamedTuple):
 
 
 def _as_matrices(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
+    """``a`` as float64 if it is real, else as complex128, checked for shape."""
+    m = np.asarray(a)
+    m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if m.shape[-1] not in (2, 4):
         raise ValueError(f"supported matrix dimensions are 2 and 4, got {m.shape[-1]}")
     return m
+
+
+def _real_view(stack: np.ndarray) -> np.ndarray:
+    """The stack, viewed as float64 when no imaginary part is nonzero."""
+    return stack.real if np.iscomplexobj(stack) and not stack.imag.any() else stack
+
+
+def _public(m: np.ndarray, eig: EigenDecomposition) -> EigenDecomposition:
+    """eig with complex128 eigenvectors, and unstacked when m is one matrix."""
+    eig = EigenDecomposition(eig.eigenvalues, eig.eigenvectors.astype(np.complex128, copy=False))
+    return eig if m.ndim == 3 else EigenDecomposition(*(part[0] for part in eig))
 
 
 def _in_stack(m: np.ndarray, index: int) -> str:
@@ -74,6 +90,7 @@ def _first(bad: np.ndarray):
 
 
 def _hermiticity_defect(stack: np.ndarray) -> np.ndarray:
+    """max |M - M+| per matrix; ``conj()`` of a real stack is the stack itself, not a copy."""
     return np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
 
 
@@ -117,8 +134,11 @@ def _density_spectrum(stack: np.ndarray):
 
     ``fault`` is the (index, reason) of the first matrix that is not
     finite, Hermitian or of unit trace or, after the one solve, below the
-    PSD floor, else None; ``eig`` is None when the solve never ran.
+    PSD floor, else None; ``eig`` is None when the solve never ran.  A
+    stack with no nonzero imaginary part is checked and solved in float64
+    and gives float64 eigenvectors.
     """
+    stack = _real_view(stack)
     fault = _density_fault(stack)
     if fault is not None:
         return None, fault
@@ -138,7 +158,7 @@ def density_eigen(rho) -> EigenDecomposition:
     m = _as_matrices(rho)
     eig, fault = _density_spectrum(m.reshape(-1, *m.shape[-2:]))
     _reject(m, fault)
-    return eig if m.ndim == 3 else EigenDecomposition(*(part[0] for part in eig))
+    return _public(m, eig)
 
 
 def partial_trace(rho, subsystem: str) -> np.ndarray:
@@ -154,7 +174,7 @@ def partial_trace(rho, subsystem: str) -> np.ndarray:
         raise ValueError("partial_trace expects a 4x4 density matrix")
     if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    r = m.reshape(2, 2, 2, 2)
+    r = m.astype(np.complex128, copy=False).reshape(2, 2, 2, 2)
     if subsystem == "A":
         return np.einsum("abcb->ac", r)
     return np.einsum("abad->bd", r)
@@ -182,14 +202,17 @@ def _rotate(hv: np.ndarray, n: int, rnd, a, r, live) -> None:
     Each rotation J annihilates H[p, q]: H <- J+ H J and V <- V J.  The new
     diagonal is a_pp - t|a_pq| and a_qq + t|a_pq| (Rutishauser's form), which
     keeps small eigenvalues to high relative accuracy (Demmel & Veselic).
+    ``live`` is None when every pivot is live; hv may hold H alone.
     """
     ps, qs, p, q, _ = rnd
     h = hv[:, :n]
     app = h[0, p, p]
     aqq = h[0, q, q]
-    safe = np.where(live, r, 1.0)
+    safe = r if live is None else np.where(live, r, 1.0)
     tau = (aqq - app) / (2.0 * safe)
-    t = np.where(live, np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(tau, 1.0)), 0.0)
+    t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(tau, 1.0))
+    if live is not None:
+        t = np.where(live, t, 0.0)
     c = 1.0 / np.hypot(t, 1.0)
     sigma = (t * c / safe) * a  # s e^{i arg a_pq}
     _mix(hv[:, :, ps], hv[:, :, qs], c, sigma[:, None])
@@ -201,7 +224,7 @@ def _rotate(hv: np.ndarray, n: int, rnd, a, r, live) -> None:
 
 
 def _sweep(hv: np.ndarray, n: int) -> None:
-    """One cyclic Jacobi sweep, in place, over hv = [H; V] of shape (parts, 2n, n, N).
+    """One cyclic Jacobi sweep, in place, over hv = [H; V] of shape (parts, 2n, n, N), or H alone.
 
     A round rotates only the matrices with a pivot of magnitude at least
     1e-18: all of them in place, some of them gathered and scattered back,
@@ -215,68 +238,92 @@ def _sweep(hv: np.ndarray, n: int) -> None:
         r = np.sqrt(sum(a * a))
         live = r >= _TINY_PIVOT
         rotated = None if live.all() else live.any(axis=0)  # None: every pivot is live
-        if rotated is None or rotated.all():
+        if rotated is None:
+            _rotate(hv, n, rnd, a, r, None)
+        elif rotated.all():
             _rotate(hv, n, rnd, a, r, live)
         elif rotated.any():
             idx = np.flatnonzero(rotated)
             sub = hv[..., idx]
             _rotate(sub, n, rnd, a[..., idx], r[:, idx], live[:, idx])
             hv[..., idx] = sub
-        h[1:, pivots[0], pivots[0]] = 0.0  # the diagonal stays real
+        if len(h) == 2:
+            h[1:, pivots[0], pivots[0]] = 0.0  # the diagonal stays real
         h[(slice(None),) + pivots] = 0.0
 
 
-def _jacobi(parts) -> EigenDecomposition:
+def _jacobi(parts, vectors: bool) -> EigenDecomposition:
     """Sorted eigendecomposition of a stack, eigenvalues (N, n) and eigenvectors (N, n, n).
 
     ``parts`` holds the real and, for complex matrices, the imaginary part
-    of the stack, each of shape (N, n, n).  Every matrix is checked before
-    each sweep and set aside once its off-diagonal Frobenius mass is at
-    most 1e-14, so its result does not depend on the rest of the stack.
+    of the stack, each of shape (N, n, n); one part gives float64
+    eigenvectors.  Without ``vectors`` only H is rotated, and the
+    eigenvectors are None.  Every matrix is checked before each sweep and
+    set aside once its off-diagonal Frobenius mass is at most 1e-14, so its
+    result does not depend on the rest of the stack.
     """
     count = len(parts)
     size, n = parts[0].shape[:2]
-    hv = np.empty((count, 2 * n, n, size))
+    hv = np.empty((count, 2 * n if vectors else n, n, size))
     for k, part in enumerate(parts):  # M + M+ is Re M + Re M^T and Im M - Im M^T
         m = part.transpose(1, 2, 0)
         (np.subtract if k else np.add)(m, m.swapaxes(0, 1), out=hv[k, :n])
     hv[:, :n] *= 0.5
-    hv[1:, n:] = 0.0
-    hv[0, n:] = np.eye(n)[:, :, None]
+    if vectors:
+        hv[1:, n:] = 0.0
+        hv[0, n:] = np.eye(n)[:, :, None]
+        rows = np.empty((count, size, n, n))  # the parts of the eigenvectors, one per row
     w = np.empty((size, n))
-    rows = np.empty((count, size, n, n))  # the parts of the eigenvectors, one per row
+    d = _DIAGONAL[n]
     live = np.arange(size)
     for _ in range(_MAX_SWEEPS):
         u = hv[(slice(None),) + _UPPER[n]]
         done = np.sqrt(2.0 * sum(sum(u * u))) <= _OFFDIAG_TARGET
-        if done.any():
-            w[live[done]] = hv[0, range(n), range(n)][:, done].T
-            rows[:, live[done]] = hv[:, n:, :, done].transpose(0, 3, 2, 1)
+        last = done.all()  # an empty stack too
+        if last or done.any():
+            pick = slice(None) if last else done  # the last ones whole: no gather
+            w[live[pick]] = hv[0, d, d][:, pick].T
+            if vectors:
+                rows[:, live[pick]] = hv[:, n:, :, pick].transpose(0, 3, 2, 1)
+            if last:
+                break
             live, hv = live[~done], hv[..., ~done]
-        if not live.size:
-            break
         _sweep(hv, n)
     else:
         raise RuntimeError("Jacobi iteration failed to converge within 100 sweeps")
-    pick = np.arange(size)[:, None], np.argsort(-w, axis=1, kind="stable")
-    rows = rows[(slice(None),) + pick]  # one gather sorts the eigenvectors
-    v = np.zeros((size, n, n), dtype=np.complex128)
-    v.real = rows[0].swapaxes(1, 2)
-    if count == 2:
-        v.imag = rows[1].swapaxes(1, 2)
-    return EigenDecomposition(w[pick], v)
+    flat = (np.arange(0, size * n, n)[:, None] + np.argsort(-w, axis=1, kind="stable")).ravel()
+    w = w.take(flat).reshape(size, n)
+    if not vectors:
+        return EigenDecomposition(w, None)
+    rows = rows.reshape(count, size * n, n).take(flat, axis=1)  # one take sorts the eigenvectors
+    rows = rows.reshape(count, size, n, n)
+    if count == 1:
+        return EigenDecomposition(w, np.ascontiguousarray(rows[0].swapaxes(1, 2)))
+    v = np.empty((size, n, n), dtype=np.complex128)
+    v.real, v.imag = rows.swapaxes(2, 3)
+    return EigenDecomposition(w, v)
 
 
-def _unchecked_eigen(stack: np.ndarray) -> EigenDecomposition:
-    """Sorted eigendecomposition of a stack (N, n, n) already known finite and Hermitian."""
+def _unchecked_eigen(stack: np.ndarray, vectors: bool = True) -> EigenDecomposition:
+    """Sorted eigendecomposition of a stack (N, n, n) already known finite and Hermitian.
+
+    The one entry of the rho and tau solves.  A float64 stack is solved in
+    real arithmetic and gives float64 eigenvectors; a complex stack gives
+    complex128 ones, and its real matrices are solved in real arithmetic
+    too.  Without ``vectors`` no eigenvector is formed (see :func:`_jacobi`).
+    """
+    if not np.iscomplexobj(stack):
+        return _jacobi((stack,), vectors)
     is_complex = stack.imag.any(axis=(1, 2))
-    if is_complex.all() or not is_complex.any():
-        return _jacobi((stack.real, stack.imag)[: 1 + bool(is_complex.any())])
+    if is_complex.all():
+        return _jacobi((stack.real, stack.imag), vectors)
     w = np.empty(stack.shape[:2])
-    v = np.empty(stack.shape, dtype=np.complex128)
+    v = np.empty(stack.shape, dtype=np.complex128) if vectors else None
     for part, count in ((~is_complex, 1), (is_complex, 2)):
         sub = stack[part]
-        w[part], v[part] = _jacobi((sub.real, sub.imag)[:count])
+        w[part], vecs = _jacobi((sub.real, sub.imag)[:count], vectors)
+        if vectors:
+            v[part] = vecs
     return EigenDecomposition(w, v)
 
 
@@ -292,8 +339,25 @@ def hermitian_eigen(a) -> EigenDecomposition:
     Eigenvalues come back sorted descending, ties keeping their diagonal
     order, with the eigenvector columns permuted to match.
     """
+    m, stack = _hermitian_stack(a)
+    return _public(m, _unchecked_eigen(stack))
+
+
+def hermitian_eigenvalues(a) -> np.ndarray:
+    """The eigenvalues of :func:`hermitian_eigen`, bit for bit, without eigenvectors.
+
+    Same checks and sweeps, but no eigenvector is accumulated, and a real
+    input is checked and solved in float64 without a complex copy.
+    """
+    m, stack = _hermitian_stack(a)
+    w = _unchecked_eigen(stack, vectors=False).eigenvalues
+    return w if m.ndim == 3 else w[0]
+
+
+def _hermitian_stack(a):
+    """(m, stack): ``a`` as matrices, and as a stack (see :func:`_real_view`) found finite and Hermitian."""
     m = _as_matrices(a)
-    stack = m.reshape(-1, *m.shape[-2:])
+    stack = _real_view(m.reshape(-1, *m.shape[-2:]))
     fault = _finite_fault(stack)
     if fault is None:
         defect = _hermiticity_defect(stack)
@@ -302,8 +366,7 @@ def hermitian_eigen(a) -> EigenDecomposition:
             fault = i, (f"matrix must be Hermitian within {HERMITIAN_TOL:g}: "
                         f"max |M - M+| = {defect[i]:.3e}")
     _reject(m, fault)
-    eig = _unchecked_eigen(stack)
-    return eig if m.ndim == 3 else EigenDecomposition(*(part[0] for part in eig))
+    return m, stack
 
 
 def matrix_sqrt_psd(a) -> np.ndarray:

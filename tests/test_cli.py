@@ -495,6 +495,7 @@ def test_write_csv_streams_in_bounded_memory(tmp_path):
     (["peak", "--variable", "q"], "--min", "-inf"),
     (["peak", "--variable", "theta"], "--min", "-.5"),
     (["sweep", "--variable", "theta", "--max", "0.5", "--steps", "3"], "--min", "-1e-3"),
+    (["state"], "--thet", "-1e-3"),  # a unique prefix, as argparse reads it
 ])
 def test_a_negative_flag_value_reads_like_the_attached_form(argv, flag, value, capsys):
     outcomes = []

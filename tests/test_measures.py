@@ -409,24 +409,44 @@ def test_concurrence_numeric_small_coupling(theta, nu, q):
 def test_oracle_deviations_two_solves_per_point(monkeypatch):
     from qfesim import qmatrix
 
-    solved = []  # matrices per batched call
+    solved, modes = [], []  # matrices per batched call, and whether it formed eigenvectors
     real = qmatrix._unchecked_eigen
 
-    def counting(a):
+    def counting(a, vectors=True):
         solved.append(len(a))
-        return real(a)
+        modes.append(vectors)
+        return real(a, vectors)
 
-    # the solve behind density_eigen (rho) and hermitian_eigen (tau) alike
+    # the one entry of the rho solve and of the eigenvalues-only tau solve
     monkeypatch.setattr(qmatrix, "_unchecked_eigen", counting)
     grid = measures.evaluate_grid(0.7, 0.05, np.linspace(0.0, 0.9, 5))
     deviations = measures.oracle_deviations(grid)
     assert sum(solved) == 2 * 5
     assert solved == [5, 5]  # one batched solve of rho, one of tau
+    assert modes == [True, False]  # tau is solved for its eigenvalues only
     assert deviations.shape == (5, 3)
     assert deviations.max() <= 1e-12
     solved.clear()
     measures.oracle_deviations(measures.evaluate_grid(0.7, 0.05, np.linspace(0.0, 0.9, 300)))
     assert solved == [256, 256, 44, 44]  # two batched calls per chunk of 256
+
+
+def test_oracle_deviations_peak_memory_of_one_chunk():
+    # real states stay float64 through validation and both solves, and tau forms no
+    # eigenvectors; in complex arithmetic one chunk of 256 peaked at ~587 KB
+    import tracemalloc
+
+    grid = measures.evaluate_grid(np.linspace(0.1, 1.4, 256), 0.05, np.linspace(0.0, 0.99, 256))
+    assert len(grid.q) == measures._CHUNK_POINTS
+    measures.oracle_deviations(grid)  # first-call costs stay out
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        measures.oracle_deviations(grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 448 * 1024
 
 
 def test_oracle_deviations_do_not_depend_on_the_chunk():
@@ -492,9 +512,9 @@ def test_complex_tau_fallback_in_a_mixed_batch(monkeypatch):
     solved = []
     real = qmatrix._unchecked_eigen
 
-    def recording(a):
+    def recording(a, vectors=True):
         solved.append(np.array(a))
-        return real(a)
+        return real(a, vectors)
 
     monkeypatch.setattr(qmatrix, "_unchecked_eigen", recording)  # the rho and tau solves
     r = measures.wootters_spectrum(rho)

@@ -251,6 +251,24 @@ def test_hermitian_eigen_stack_equals_each_matrix_bit_for_bit(stack):
         assert vi.tobytes() == v[i].tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(hermitian_stacks())
+def test_real_and_eigenvalue_only_paths_give_the_public_bits(stack):
+    # the real part of a Hermitian stack is exactly symmetric
+    real = np.ascontiguousarray(stack.real)
+    w, v = qmatrix.hermitian_eigen(real)
+    for matrices in (real, real.astype(complex)):  # a real input is never made complex
+        assert qmatrix.hermitian_eigenvalues(matrices).tobytes() == w.tobytes()
+        wc, vc = qmatrix.hermitian_eigen(matrices)
+        assert wc.tobytes() == w.tobytes() and vc.tobytes() == v.tobytes()
+    rw, rv = qmatrix._unchecked_eigen(real)
+    assert rv.dtype == np.float64 and rv.flags.c_contiguous
+    assert rw.tobytes() == w.tobytes() and rv.tobytes() == v.real.tobytes()
+    assert not v.imag.any()
+    assert qmatrix.hermitian_eigenvalues(stack).tobytes() == \
+        qmatrix.hermitian_eigen(stack).eigenvalues.tobytes()
+
+
 def test_x_states_among_dense_matrices_bit_for_bit(monkeypatch):
     # the sweeps rotate all matrices in place, a gathered subset or none, per round;
     # whichever path a round takes, each matrix keeps the bits it gets alone.  Half the
@@ -303,6 +321,23 @@ def test_density_eigen_temporaries_stay_within_five_inputs():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * rho.nbytes
+
+
+def test_real_eigenpairs_of_the_check_grid_are_accurate():
+    # every check-grid state is real, so rho is solved in float64 with float64 eigenvectors
+    thetas = np.linspace(0.0, math.pi / 2.0, 33)
+    worst_residual = worst_orthogonality = 0.0
+    for nu in (0.0, 0.01, 0.05, 0.1):
+        grid = measures.evaluate_grid(thetas[:, None], nu, np.linspace(0.0, 0.999, 100))
+        rho = x_state_rho(grid.theta, grid.mu, grid.upsilon, grid.eta)
+        (w, v), fault = qmatrix._density_spectrum(rho)
+        assert fault is None and v.dtype == np.float64
+        residual = np.linalg.norm(rho.real @ v - v * w[:, None, :], axis=1)
+        orthogonality = np.abs(v.swapaxes(1, 2) @ v - np.eye(4))
+        worst_residual = max(worst_residual, residual.max())
+        worst_orthogonality = max(worst_orthogonality, orthogonality.max())
+    assert worst_residual <= 1e-15
+    assert worst_orthogonality <= 1e-15
 
 
 def test_hermitian_eigen_stack_matches_lapack():

@@ -6,9 +6,10 @@
 * The density-matrix rule (its tolerances, its fault finders and the
   stack-index suffix of its errors) lives in ``qmatrix`` alone; every other
   module reaches it through ``density_eigen`` or ``_density_spectrum``.
-* So does the unchecked solve (``_unchecked_eigen`` and ``_jacobi``), which
-  trusts its caller to have validated the stack; every other module solves
-  through ``hermitian_eigen``, ``density_eigen`` or ``_density_spectrum``.
+* So does the unchecked solve (``_unchecked_eigen`` and ``_jacobi``, with
+  or without eigenvectors), which trusts its caller to have validated the
+  stack; every other module solves through ``hermitian_eigen``,
+  ``hermitian_eigenvalues``, ``density_eigen`` or ``_density_spectrum``.
 * The README's "Library entry points" block runs, and it imports exactly
   the names in ``qfesim.__all__``.
 * The README's "Config keys" table lists the CLI option table's keys, in
@@ -131,12 +132,13 @@ def test_unchecked_solve_scan_catches_each_form():
         "from .qmatrix import _jacobi as solve",
         "from . import qmatrix\nqmatrix._unchecked_eigen(stack)",
         "qfesim.qmatrix._jacobi((m.real,))",
+        "qmatrix._unchecked_eigen(tau, vectors=False)",
         "_unchecked_eigen(stack)",
         "solve = _jacobi",
     ):
         assert _uses(ast.parse(source), UNCHECKED_SOLVE_NAMES), source
     for source in ("from .qmatrix import hermitian_eigen, _density_spectrum",
-                   "qmatrix.density_eigen(rho)"):
+                   "qmatrix.density_eigen(rho)", "qmatrix.hermitian_eigenvalues(tau)"):
         assert not _uses(ast.parse(source), UNCHECKED_SOLVE_NAMES), source
 
 
