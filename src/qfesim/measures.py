@@ -12,14 +12,15 @@ Two routes to the measures are kept deliberately separate:
   rho~ = (sy x sy) conj(rho) (sy x sy), and :func:`von_neumann_entropy`
   takes the entropy of a Jacobi spectrum.  :func:`wootters_spectrum` also
   takes a stack of states.  Every state of this route is validated and
-  solved once, by :func:`qfesim.qmatrix.density_eigen` or its private
-  ``(eig, fault)`` form.
+  solved once, by :func:`qfesim.qmatrix.density_eigen`, its
+  eigenvalues-only twin or their private forms, which keep a real
+  state's eigenvectors in float64.
 
 The two must agree to 1e-9; ``evaluate_grid(..., cross_check=True)``
 enforces that per point for the concurrence and the entropy.  The check
-(:func:`oracle_deviations`) rebuilds the states 256 at a time, validates
-each chunk once and makes two batched Jacobi solves per chunk, so two
-solved matrices per point.
+(:func:`oracle_deviations`) rebuilds the states in float64, 1,024 at a
+time, validates each chunk once and makes two batched Jacobi solves per
+chunk, so two solved matrices per point.
 Entropies and fluctuations are in bits.
 """
 
@@ -30,12 +31,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detector import JointState, _point_name, weights_grid, x_state_rho
+from .detector import JointState, _point_name, _x_state_real, weights_grid
 from .qmatrix import (
     EigenDecomposition,
+    _density_solve,
     _density_spectrum,
-    density_eigen,
-    hermitian_eigen,
+    density_eigenvalues,
     hermitian_eigenvalues,
     partial_trace,
 )
@@ -47,7 +48,7 @@ _REAL_FLIP = FLIP_OPERATOR.real  # sy x sy is real
 RATIO_THRESHOLD = 1e-12
 CROSS_CHECK_TOL = 1e-9
 _DEFAULT_PURITY_TOL = 1e-6
-_CHUNK_POINTS = 256  # states per batched Jacobi solve in the oracle; bounds peak memory
+_CHUNK_POINTS = 1024  # states per batched Jacobi solve in the oracle; bounds peak memory
 
 
 class CrossCheckError(RuntimeError):
@@ -149,19 +150,20 @@ def oracle_deviations(grid: GridValues) -> np.ndarray:
 
     Columns: concurrence, entropy, and the worst entry of the squared
     spin-flip spectrum against {4 mu^2 sin^2 2theta, eta upsilon,
-    eta upsilon, 0}.  The states are rebuilt from their weights 256 at a
-    time (``_CHUNK_POINTS``).  Each chunk is checked once as a stack, by
-    the validation of :func:`~qfesim.qmatrix.density_eigen`, and costs two
-    batched Jacobi solves: one of rho, giving the entropy, and one of
-    tau in the spin-flip spectrum, for its eigenvalues only, so two solved
-    matrices per point.  Real states stay float64 throughout.  A
+    eta upsilon, 0}.  The states are rebuilt from their weights as float64,
+    1,024 at a time (``_CHUNK_POINTS``).  Each chunk is checked once as a
+    stack, by the validation of :func:`~qfesim.qmatrix.density_eigen`, and
+    costs two batched Jacobi solves: one of rho, giving the entropy, and
+    one of tau in the spin-flip spectrum, for its eigenvalues only, so two
+    solved matrices per point.  Real states stay float64 throughout.  A
     ValueError from the matrix route names the point.
     """
     lam = _x_spin_flip_squares(grid.theta, grid.mu, grid.upsilon, grid.eta)
     out = np.empty((len(grid.theta), 3))
     for start in range(0, len(grid.theta), _CHUNK_POINTS):
         chunk = slice(start, start + _CHUNK_POINTS)
-        rho = x_state_rho(grid.theta[chunk], grid.mu[chunk], grid.upsilon[chunk], grid.eta[chunk])
+        rho = _x_state_real(grid.theta[chunk], grid.mu[chunk], grid.upsilon[chunk],
+                            grid.eta[chunk])
         eig, fault = _density_spectrum(rho)
         if fault is not None:
             i, reason = fault
@@ -181,11 +183,10 @@ def wootters_spectrum(rho) -> np.ndarray:
     above the PSD floor); the r_i are the singular values of
     tau = W^T (sy x sy) W with rho = W W+ (see ``_spin_flip``).
     """
-    p, vecs = density_eigen(rho)
-    if p.shape[-1] != 4:
+    m, eig = _density_solve(rho)
+    if m.shape[-1] != 4:
         raise ValueError("the spin-flip spectrum is defined for 4x4 density matrices")
-    stack = EigenDecomposition(p.reshape(-1, 4), vecs.reshape(-1, 4, 4))
-    return _spin_flip(stack).reshape(p.shape)
+    return _spin_flip(eig).reshape(m.shape[:-1])
 
 
 def _spin_flip(eig: EigenDecomposition) -> np.ndarray:
@@ -251,7 +252,7 @@ def analytic_eigenvalues(state: JointState) -> np.ndarray:
 
 
 def _require_pure(psi_rho, tolerance: float) -> None:
-    w = density_eigen(psi_rho).eigenvalues
+    w = density_eigenvalues(psi_rho)
     if w[0] < 1.0 - tolerance:
         raise ValueError(
             f"state is not pure within {tolerance:g}: largest eigenvalue {w[0]!r}"
@@ -268,7 +269,7 @@ def pure_concurrence(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """-sum p log2 p over the Jacobi spectrum, with the convention 0 log 0 = 0."""
-    return float(_entropy_bits(density_eigen(rho).eigenvalues))
+    return float(_entropy_bits(density_eigenvalues(rho)))
 
 
 def entanglement_entropy_pure(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
@@ -300,7 +301,7 @@ def qfe_variance_pure(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
     coincides with qfe_from_concurrence(2 sqrt(p(1-p))).
     """
     _require_pure(psi_rho, tolerance)
-    w = hermitian_eigen(partial_trace(psi_rho, "A")).eigenvalues
+    w = hermitian_eigenvalues(partial_trace(psi_rho, "A"))
     p = min(1.0, max(0.0, float(w[0])))
     complement = 1.0 - p
     if p <= 0.0 or complement <= 0.0:

@@ -2,14 +2,15 @@
 
 The public results are numpy ``complex128`` arrays; complex scalars are
 plain Python ``complex``.  :func:`hermitian_eigen`,
-:func:`hermitian_eigenvalues` and :func:`density_eigen` also take a stack
-of shape (N, n, n).  A stack with no nonzero imaginary part is checked and
-solved in float64, and is never copied to complex on the way.  A density
-matrix must be finite, Hermitian to within 1e-12, of unit trace to within
-1e-12, and have eigenvalues above -1e-10 (anything in [-1e-10, 0) counts as
-roundoff).  :func:`density_eigen` is the one place that rule is applied
-together with the solve, and the solve does not check the matrix again;
-:func:`partial_trace` checks the first three only.
+:func:`hermitian_eigenvalues`, :func:`density_eigen` and
+:func:`density_eigenvalues` also take a stack of shape (N, n, n).  A stack
+with no nonzero imaginary part is checked and solved in float64, and is
+never copied to complex on the way.  A density matrix must be finite,
+Hermitian to within 1e-12, of unit trace to within 1e-12, and have
+eigenvalues above -1e-10 (anything in [-1e-10, 0) counts as roundoff).
+:func:`density_eigen` and its eigenvalues-only twin are the one place
+that rule is applied together with the solve, and the solve does not
+check the matrix again; :func:`partial_trace` checks the first three only.
 """
 
 from __future__ import annotations
@@ -129,21 +130,35 @@ def _reject(m: np.ndarray, fault) -> None:
         raise ValueError(fault[1] + _in_stack(m, fault[0]))
 
 
-def _density_spectrum(stack: np.ndarray):
+def _density_spectrum(stack: np.ndarray, vectors: bool = True):
     """(eig, fault) of a stack of density matrices, shape (N, n, n).
 
     ``fault`` is the (index, reason) of the first matrix that is not
     finite, Hermitian or of unit trace or, after the one solve, below the
     PSD floor, else None; ``eig`` is None when the solve never ran.  A
     stack with no nonzero imaginary part is checked and solved in float64
-    and gives float64 eigenvectors.
+    and gives float64 eigenvectors.  Without ``vectors`` the solve forms
+    no eigenvector (see :func:`_jacobi`).
     """
     stack = _real_view(stack)
     fault = _density_fault(stack)
     if fault is not None:
         return None, fault
-    eig = _unchecked_eigen(stack)
+    eig = _unchecked_eigen(stack, vectors)
     return eig, _psd_fault(eig.eigenvalues)
+
+
+def _density_solve(rho, vectors: bool = True):
+    """(m, eig): ``rho`` as matrices, and the eig of :func:`_density_spectrum` of it as a stack.
+
+    A fault raises ValueError naming the violated property and, for a
+    stack, the first offending matrix.  A real ``rho`` keeps float64
+    eigenvectors.
+    """
+    m = _as_matrices(rho)
+    eig, fault = _density_spectrum(m.reshape(-1, *m.shape[-2:]), vectors)
+    _reject(m, fault)
+    return m, eig
 
 
 def density_eigen(rho) -> EigenDecomposition:
@@ -155,10 +170,16 @@ def density_eigen(rho) -> EigenDecomposition:
     property and, for a stack, the first offending matrix.  One matrix
     gives the bits of a stack of one.
     """
-    m = _as_matrices(rho)
-    eig, fault = _density_spectrum(m.reshape(-1, *m.shape[-2:]))
-    _reject(m, fault)
-    return _public(m, eig)
+    return _public(*_density_solve(rho))
+
+
+def density_eigenvalues(rho) -> np.ndarray:
+    """The eigenvalues of :func:`density_eigen`, bit for bit, without eigenvectors.
+
+    Same checks, sweeps and PSD floor, but no eigenvector is accumulated.
+    """
+    m, eig = _density_solve(rho, vectors=False)
+    return eig.eigenvalues if m.ndim == 3 else eig.eigenvalues[0]
 
 
 def partial_trace(rho, subsystem: str) -> np.ndarray:

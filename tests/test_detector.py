@@ -199,6 +199,22 @@ def test_build_final_state_rho_is_read_only():
         state.rho[0, 0] = 1.0
 
 
+def test_x_state_rho_is_the_real_builder_as_read_only_complex():
+    # the oracle builds its states in float64; the public state is that stack, cast
+    theta = np.array([-0.0, 0.0, 0.3, math.pi / 4, 1.2, math.pi / 2])[:, None]
+    weights = detector.weights_grid(theta, np.array([0.0, 0.05, 0.3])[:, None, None],
+                                    np.array([0.0, 0.5, 0.999]))
+    real = detector._x_state_real(theta, *weights)
+    rho = detector.x_state_rho(theta, *weights)
+    assert real.dtype == np.float64 and real.flags.writeable
+    assert rho.dtype == np.complex128 and not rho.flags.writeable
+    assert rho.shape == real.shape == (3, 6, 3, 4, 4)
+    assert rho.real.tobytes() == real.tobytes()
+    assert rho.imag.tobytes() == np.zeros(real.shape).tobytes()
+    one = detector.x_state_rho(0.3, *(float(w[1, 2, 1]) for w in weights))
+    assert one.tobytes() == rho[1, 2, 1].tobytes()
+
+
 def test_trajectory_at_origin():
     point = detector.trajectory_point(1.0, 0.0)
     assert (point.tau, point.t, point.x) == (0.0, 0.0, 1.0)

@@ -427,30 +427,44 @@ def test_oracle_deviations_two_solves_per_point(monkeypatch):
     assert deviations.shape == (5, 3)
     assert deviations.max() <= 1e-12
     solved.clear()
+    monkeypatch.setattr(measures, "_CHUNK_POINTS", 256)
     measures.oracle_deviations(measures.evaluate_grid(0.7, 0.05, np.linspace(0.0, 0.9, 300)))
     assert solved == [256, 256, 44, 44]  # two batched calls per chunk of 256
 
 
-def test_oracle_deviations_peak_memory_of_one_chunk():
-    # real states stay float64 through validation and both solves, and tau forms no
-    # eigenvectors; in complex arithmetic one chunk of 256 peaked at ~587 KB
+def _oracle_peak_bytes(grid) -> int:
     import tracemalloc
 
-    grid = measures.evaluate_grid(np.linspace(0.1, 1.4, 256), 0.05, np.linspace(0.0, 0.99, 256))
-    assert len(grid.q) == measures._CHUNK_POINTS
     measures.oracle_deviations(grid)  # first-call costs stay out
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         measures.oracle_deviations(grid)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 448 * 1024
 
 
-def test_oracle_deviations_do_not_depend_on_the_chunk():
+def test_oracle_deviations_peak_memory_of_one_chunk(monkeypatch):
+    # real states stay float64 through validation and both solves, and tau forms no
+    # eigenvectors; in complex arithmetic one chunk of 256 peaked at ~587 KB
+    monkeypatch.setattr(measures, "_CHUNK_POINTS", 256)
+    grid = measures.evaluate_grid(np.linspace(0.1, 1.4, 256), 0.05, np.linspace(0.0, 0.99, 256))
+    assert len(grid.q) == measures._CHUNK_POINTS
+    assert _oracle_peak_bytes(grid) <= 448 * 1024
+
+
+def test_oracle_deviations_peak_memory_of_a_shipped_chunk():
+    # the states are built in float64, never as a complex stack; with complex states
+    # one chunk of 1,024 peaked at ~1,492 KB
+    grid = measures.evaluate_grid(np.linspace(0.1, 1.4, 1024), 0.05, np.linspace(0.0, 0.99, 1024))
+    assert len(grid.q) == measures._CHUNK_POINTS == 1024
+    assert _oracle_peak_bytes(grid) <= 1400 * 1024
+
+
+def test_oracle_deviations_do_not_depend_on_the_chunk(monkeypatch):
     # every state is solved on its own inside a chunk, so chunking changes no bit
+    monkeypatch.setattr(measures, "_CHUNK_POINTS", 256)
     thetas = np.linspace(0.0, math.pi / 2, 15)
     grid = measures.evaluate_grid(thetas[:, None], np.array([0.0, 0.03, 0.09])[:, None, None],
                                   np.linspace(0.0, 0.9999, 13))
@@ -462,7 +476,8 @@ def test_oracle_deviations_do_not_depend_on_the_chunk():
 
 
 @pytest.mark.parametrize("index, fault", [(300, "positive semidefinite"), (513, "unit trace")])
-def test_oracle_failure_beyond_the_first_chunk_names_its_point(index, fault):
+def test_oracle_failure_beyond_the_first_chunk_names_its_point(index, fault, monkeypatch):
+    monkeypatch.setattr(measures, "_CHUNK_POINTS", 256)
     qs = np.linspace(0.0, 0.9, 600)
     assert index >= measures._CHUNK_POINTS
     grid = measures.evaluate_grid(0.6, 0.05, qs)
@@ -482,14 +497,15 @@ def test_oracle_names_the_point_of_a_non_finite_state(monkeypatch):
     qs = np.linspace(0.0, 0.9, 600)
     grid = measures.evaluate_grid(0.6, 0.05, qs)
     assert np.count_nonzero(grid.mu == grid.mu[300]) == 1
-    build = measures.x_state_rho
+    build = measures._x_state_real
 
     def nan_at_300(theta, mu, upsilon, eta):
-        rho = build(theta, mu, upsilon, eta).copy()
+        rho = build(theta, mu, upsilon, eta)
         rho[mu == grid.mu[300], 0, 3] = np.nan
         return rho
 
-    monkeypatch.setattr(measures, "x_state_rho", nan_at_300)
+    monkeypatch.setattr(measures, "_CHUNK_POINTS", 256)
+    monkeypatch.setattr(measures, "_x_state_real", nan_at_300)
     point = rf"finite at \(theta, nu, q\) = \(0\.6, 0\.05, {float(qs[300])!r}\)"
     with pytest.raises(ValueError, match=point):
         measures.oracle_deviations(grid)
@@ -501,6 +517,23 @@ def phased_x_states(phases, theta=0.6, nu=0.05, q=0.5):
     rho[:, 1, 2] *= np.exp(1j * np.asarray(phases))
     rho[:, 2, 1] = rho[:, 1, 2].conj()
     return grid, rho
+
+
+def test_wootters_spectrum_of_a_real_state_takes_the_float64_route(monkeypatch):
+    # as in oracle_deviations, a state with no imaginary part reaches _spin_flip with
+    # float64 eigenvectors, so it skips the row-by-row scan for real W
+    seen = []
+    real = measures._spin_flip
+
+    def recording(eig):
+        seen.append(eig.eigenvectors.dtype)
+        return real(eig)
+
+    monkeypatch.setattr(measures, "_spin_flip", recording)
+    rho = build_final_state(DetectorParams(theta=0.6, nu=0.05, q=0.5)).rho
+    assert rho.dtype == np.complex128
+    assert measures.wootters_spectrum(rho).tobytes() == measures.wootters_spectrum(rho.real).tobytes()
+    assert seen == [np.float64, np.float64]
 
 
 def test_complex_tau_fallback_in_a_mixed_batch(monkeypatch):

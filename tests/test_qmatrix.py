@@ -269,6 +269,30 @@ def test_real_and_eigenvalue_only_paths_give_the_public_bits(stack):
         qmatrix.hermitian_eigen(stack).eigenvalues.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(hermitian_stacks())
+def test_density_eigenvalues_are_the_density_eigen_bits(stack):
+    # same checks, sweeps and PSD floor without eigenvectors; the real part of a
+    # density matrix is one too, and its spin-flip spectrum takes the float64 route
+    with np.errstate(all="ignore"):
+        gram = stack @ stack  # positive semidefinite up to roundoff
+        rho = (gram + gram.conj().swapaxes(1, 2)) / 2.0
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    for states in (rho, np.ascontiguousarray(rho.real), rho[0]):
+        try:
+            w, v = qmatrix.density_eigen(states)
+        except ValueError as error:
+            with pytest.raises(ValueError) as again:
+                qmatrix.density_eigenvalues(states)
+            assert str(again.value) == str(error)
+            continue
+        assert qmatrix.density_eigenvalues(states).tobytes() == w.tobytes()
+        if states.ndim == 3 and states.shape[-1] == 4 and not np.iscomplexobj(states):
+            # the complex128 V of density_eigen takes the row-by-row real branch of _spin_flip
+            before = measures._spin_flip(qmatrix.EigenDecomposition(w, v))
+            assert measures.wootters_spectrum(states).tobytes() == before.tobytes()
+
+
 def test_x_states_among_dense_matrices_bit_for_bit(monkeypatch):
     # the sweeps rotate all matrices in place, a gathered subset or none, per round;
     # whichever path a round takes, each matrix keeps the bits it gets alone.  Half the
@@ -370,11 +394,12 @@ def test_stack_errors_name_the_matrix():
         with pytest.raises(ValueError, match=r"finite \(matrix 1 of the stack\)"):
             solve(stack)
     stack[1] = np.diag([0.5, 0.5, 0.5, -0.5])
-    with pytest.raises(ValueError, match=r"positive semidefinite.*\(matrix 1 of the stack\)"):
-        qmatrix.density_eigen(stack)
-    with pytest.raises(ValueError, match="positive semidefinite") as one:
-        qmatrix.density_eigen(stack[1])
-    assert "of the stack" not in str(one.value)
+    for solve in (qmatrix.density_eigen, qmatrix.density_eigenvalues):
+        with pytest.raises(ValueError, match=r"positive semidefinite.*\(matrix 1 of the stack\)"):
+            solve(stack)
+        with pytest.raises(ValueError, match="positive semidefinite") as one:
+            solve(stack[1])
+        assert "of the stack" not in str(one.value)
 
 
 # --- the one validated density solve ----------------------------------------------
@@ -392,6 +417,8 @@ def test_density_eigen_one_matrix_is_the_stack_of_one_bit_for_bit():
         assert w.tobytes() == ws[0].tobytes() and v.tobytes() == vs[0].tobytes()
         hw, hv = qmatrix.hermitian_eigen(rho)
         assert w.tobytes() == hw.tobytes() and v.tobytes() == hv.tobytes()
+        assert qmatrix.density_eigenvalues(rho).tobytes() == w.tobytes()
+        assert qmatrix.density_eigenvalues(rho[None]).tobytes() == ws.tobytes()
 
 
 def test_check_density_matrix_is_gone():

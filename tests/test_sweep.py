@@ -147,15 +147,15 @@ def test_oracle_scan_equals_row_by_row_in_bounded_chunks(monkeypatch):
         for theta in np.linspace(0.0, math.pi / 2.0, 33):
             grid = measures.evaluate_grid(theta, nu, np.linspace(0.0, 0.999, 100))
             worst = np.maximum(worst, measures.oracle_deviations(grid).max(axis=0))
-    built = []  # states per x_state_rho call
-    real = measures.x_state_rho
+    built = []  # states per call of the oracle's state builder
+    real = measures._x_state_real
 
     def counting(theta, mu, upsilon, eta):
         rho = real(theta, mu, upsilon, eta)
         built.append(len(rho))
         return rho
 
-    monkeypatch.setattr(measures, "x_state_rho", counting)
+    monkeypatch.setattr(measures, "_x_state_real", counting)
     result = sweep.oracle_scan()
     assert result.points == 13200
     scanned = [result.max_concurrence_deviation, result.max_entropy_deviation,
@@ -163,6 +163,21 @@ def test_oracle_scan_equals_row_by_row_in_bounded_chunks(monkeypatch):
     assert np.array(scanned).tobytes() == worst.tobytes()
     assert max(built) <= measures._CHUNK_POINTS
     assert sum(built) == 13200
+    assert built == [1024, 1024, 1024, 228] * 4  # one 3,300-point plane per nu
+
+
+def test_oracle_scan_deviations_equal_at_a_smaller_chunk(monkeypatch):
+    from qfesim import measures
+
+    def deviations():
+        thetas = np.linspace(0.0, math.pi / 2.0, 33)[:, None]
+        qs = np.linspace(0.0, 0.999, 100)
+        return [measures.oracle_deviations(measures.evaluate_grid(thetas, nu, qs)).tobytes()
+                for nu in (0.0, 0.01, 0.05, 0.1)]
+
+    shipped = deviations()
+    monkeypatch.setattr(measures, "_CHUNK_POINTS", 256)
+    assert deviations() == shipped
 
 
 def test_steps_cap_is_validated_before_any_allocation():

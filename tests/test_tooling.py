@@ -5,11 +5,13 @@
   independent reference.
 * The density-matrix rule (its tolerances, its fault finders and the
   stack-index suffix of its errors) lives in ``qmatrix`` alone; every other
-  module reaches it through ``density_eigen`` or ``_density_spectrum``.
+  module reaches it through ``density_eigen``, ``density_eigenvalues``,
+  ``_density_solve`` or ``_density_spectrum``.
 * So does the unchecked solve (``_unchecked_eigen`` and ``_jacobi``, with
   or without eigenvectors), which trusts its caller to have validated the
   stack; every other module solves through ``hermitian_eigen``,
-  ``hermitian_eigenvalues``, ``density_eigen`` or ``_density_spectrum``.
+  ``hermitian_eigenvalues`` or the density solves above, each of which
+  takes an eigenvalues-only form.
 * The README's "Library entry points" block runs, and it imports exactly
   the names in ``qfesim.__all__``.
 * The README's "Config keys" table lists the CLI option table's keys, in
@@ -138,7 +140,10 @@ def test_unchecked_solve_scan_catches_each_form():
     ):
         assert _uses(ast.parse(source), UNCHECKED_SOLVE_NAMES), source
     for source in ("from .qmatrix import hermitian_eigen, _density_spectrum",
-                   "qmatrix.density_eigen(rho)", "qmatrix.hermitian_eigenvalues(tau)"):
+                   "qmatrix.density_eigen(rho)", "qmatrix.hermitian_eigenvalues(tau)",
+                   "qmatrix._density_spectrum(rho, vectors=False)",
+                   "qmatrix._density_solve(rho, vectors=False)",
+                   "qmatrix.density_eigenvalues(rho)"):
         assert not _uses(ast.parse(source), UNCHECKED_SOLVE_NAMES), source
 
 
