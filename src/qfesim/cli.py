@@ -141,26 +141,141 @@ def _format_real(value: float) -> str:
 _CHUNK_ROWS = 1024  # grid rows formatted at a time; bounds peak memory
 
 
+# The %#.9g kernel.  Each field takes 16 bytes, two little-endian uint64
+# words: its text right-aligned in bytes 0-14 and its separator in byte 15;
+# every other byte is 0.  The digits start as "000000" and the 9 mantissa
+# digits in bytes 0-14; in exponent notation they sit 4 bytes lower,
+# followed by "e-XX".  A field's class is min(k, 13) + 1, plus 14 if
+# negative; class 0 prints nothing of its own (a blank ratio, or a literal
+# text written in afterwards) and class 29 prints "nan".  Per class, the
+# tables keep the digits right of the decimal point, take those left of it
+# from one byte higher, and add the point and the sign.
+_POWERS = np.array([math.nan] + [float(10**k) for k in range(23)] + [math.nan])  # at k + 1
+
+
+def _digit_table(*at, dtype=np.uint64) -> np.ndarray:
+    """Little-endian words of the digit strings "0..0" to "9..9", digit i in byte at[i]."""
+    table = np.zeros(1, dtype)
+    for byte in at:
+        table = (table[:, None] | np.arange(48, 58, dtype=dtype) << dtype(8 * byte)).ravel()
+    return table
+
+
+_PAIR = _digit_table(6, 7) | np.uint64(int.from_bytes(b"000000", "little"))
+_QUAD = _digit_table(0, 1, 2, 3, dtype=np.uint32)
+_TRIPLE = _digit_table(4, 5, 6)
+_EXPONENT = np.frombuffer(b"".join(b"\0\0\0e-%02d\0" % (k - 8) for k in range(13, 23)), "<u8")
+_SEPARATORS = np.frombuffer(b",,,,,,,,,\n", np.uint8)
+_NAN = 29
+
+
+def _class_tables():
+    """Per class, 16 bytes each: the digits kept, the digits taken from one higher, the marks."""
+    right, left, marks = bytearray(16), bytearray(16), bytearray(16)  # class 0
+    for sign in (b"\0", b"-"):
+        for form in range(14):  # min(k, 13)
+            point = max(14 - form, 2)
+            start = 13 - min(max(form, 8), 12)  # the first byte of the unsigned text
+            right += bytes(point + 1) + b"\xff" * (14 - point) + bytes(1)
+            left += bytes(start) + b"\xff" * (point - start) + bytes(16 - point)
+            marks += bytes(start - 1) + sign + bytes(point - start) + b"." + bytes(15 - point)
+    right, left, marks = right + bytes(16), left + bytes(16), marks + bytes(12) + b"nan\0"
+    return tuple(np.frombuffer(table, np.uint8).reshape(-1, 16) for table in (right, left, marks))
+
+
+_RIGHT, _LEFT, _MARKS = _class_tables()
+
+
+def _decimal_parts(values: np.ndarray):
+    """(m, k + 1, literals): the 9-digit mantissa and its power-of-ten index.
+
+    For finite ``v != 0`` with ``e = floor(log10|v|)`` and ``k = 8 - e`` in
+    [0, 22], ``10**k`` is exact, so ``fl(|v| 10**k)`` is off by less than
+    1.2e-7 from the exact scaled value below 1e9, and its ``rint`` is the
+    correctly rounded 9-digit mantissa unless it lies within 1e-6 of a
+    half.  A zero or a NaN gets ``m = 0`` and ``k = 8``.  ``literals`` maps
+    the index of every other value to its ``_format_real`` text:
+    infinities, near-ties, every other ``k``, a scaled value below 1e8
+    (``log10`` rounded across a power of ten) and a mantissa that rounds up
+    to 1e9.
+    """
+    magnitude = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.log10(magnitude)
+        np.floor(scaled, out=scaled)
+        np.subtract(9.0, scaled, out=scaled)
+        index = np.fmax(np.fmin(scaled, 24.0, out=scaled), 0.0, out=scaled).astype(np.intp)
+        np.multiply(magnitude, _POWERS.take(index), out=scaled)  # NaN unless 0 <= k <= 22
+        mantissa = np.rint(scaled)
+        exact = (scaled >= 1e8) & (mantissa < 1e9)
+        exact &= np.abs(np.subtract(scaled, mantissa, out=scaled), out=scaled) < 0.5 - 1e-6
+    inexact = ~exact
+    literals = {i: _format_real(values.item(i))  # > 0: neither zero nor NaN
+                for i in np.flatnonzero(inexact & (magnitude > 0)).tolist()}
+    mantissa[inexact] = 0
+    index[inexact] = 9
+    return mantissa.astype(np.uint32), index, literals
+
+
+def _format_chunk(chunk: np.ndarray) -> str:
+    """CSV text of ``chunk`` (rows of 10 values), each field ``"%#.9g" % v``.
+
+    A NaN prints ``nan``, or nothing in the ratio column.
+    """
+    values = chunk.ravel()
+    mantissa, index, literals = _decimal_parts(values)
+    words = np.empty((len(values), 2), np.uint64)
+    rest = mantissa % 10**7
+    words[:, 0] = _PAIR.take(mantissa // 10**7)
+    words[:, 1] = _QUAD.take(rest // 1000)
+    words[:, 1] |= _TRIPLE.take(rest % 1000)
+    del mantissa, rest  # each stage frees its temporaries: they set the peak memory
+    exponent = np.flatnonzero(index > 13)
+    if exponent.size:
+        low, high = words[exponent, 0], words[exponent, 1]
+        words[exponent, 0] = (low >> np.uint64(32)) | (high << np.uint64(32))
+        words[exponent, 1] = (high >> np.uint64(32)) | _EXPONENT.take(index[exponent] - 14)
+    klass = np.minimum(index, 14, out=index)
+    np.add(klass, 14, out=klass, where=np.signbit(values))
+    nan = np.isnan(values)
+    if nan.any():
+        klass[nan] = _NAN
+        ratio = klass.reshape(-1, 10)[:, 9]
+        ratio[ratio == _NAN] = 0
+    if literals:
+        klass[list(literals)] = 0
+
+    digits = words.view(np.uint8).reshape(-1)
+    text = _RIGHT.take(klass, axis=0)
+    flat = text.reshape(-1)
+    flat &= digits
+    shifted = _LEFT.take(klass, axis=0).reshape(-1)
+    np.bitwise_and(shifted[:-1], digits[1:], out=shifted[:-1])
+    flat |= shifted
+    flat |= _MARKS.take(klass, axis=0, out=shifted.reshape(text.shape), mode="clip").reshape(-1)
+    del words, digits, shifted
+    text.reshape(-1, 10, 16)[:, :, 15] = _SEPARATORS
+    for i, literal in literals.items():
+        tail = literal[-15:].encode("ascii")
+        text[i, 15 - len(tail):15] = np.frombuffer(tail, np.uint8)
+    out = str(text[text != 0], "ascii")
+    for i in sorted(literals, reverse=True):
+        if len(literals[i]) > 15:  # the head of a 16-byte text goes in here
+            at = np.count_nonzero(text[:i])
+            out = out[:at] + literals[i][:-15] + out[at:]
+    return out
+
+
 def _csv_text(grid: GridValues) -> Iterator[str]:
     """Yield the header, then the rows of ``_CHUNK_ROWS`` points at a time.
 
     A row is (q, theta, nu, mu, upsilon, eta, C, S, QFE, ratio) with a NaN
-    ratio blank.  A column whose bits are the same in every row of a chunk
-    is formatted once into the chunk's row template, and one ``%`` fills
-    the template's other columns for the whole chunk.
+    ratio blank; ``_format_chunk`` builds each chunk's text in one pass.
     """
     yield CSV_HEADER + "\n"
     for start in range(0, len(grid.q), _CHUNK_ROWS):
-        chunk = np.column_stack([column[start:start + _CHUNK_ROWS] for column in grid])
-        bits = chunk.view(np.uint64)
-        constant = (bits == bits[0]).all(axis=0)
-        fields = ["%#.9g"] * 10
-        first = chunk[0].tolist()
-        for j in np.flatnonzero(constant).tolist():
-            fields[j] = "" if j == 9 and first[j] != first[j] else _format_real(first[j])
-        template = ",".join(fields) + "\n"
-        text = (template * len(chunk)) % tuple(chunk[:, ~constant].ravel().tolist())
-        yield text if constant[9] else text.replace(",nan\n", ",\n")
+        yield _format_chunk(np.column_stack([column[start:start + _CHUNK_ROWS]
+                                             for column in grid]))
 
 
 def _emit(pieces: Iterable[str], destination: str | None) -> None:

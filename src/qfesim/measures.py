@@ -34,11 +34,12 @@ import numpy as np
 from .detector import JointState, _point_name, _x_state_real, weights_grid
 from .qmatrix import (
     EigenDecomposition,
+    _as_matrices,
     _density_solve,
     _density_spectrum,
+    _reduced_state,
     density_eigenvalues,
     hermitian_eigenvalues,
-    partial_trace,
 )
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -251,18 +252,22 @@ def analytic_eigenvalues(state: JointState) -> np.ndarray:
     return _x_spin_flip_squares(state.params.theta, state.mu, state.upsilon, state.eta)
 
 
-def _require_pure(psi_rho, tolerance: float) -> None:
+def _pure_reduced_state(psi_rho, tolerance: float) -> np.ndarray:
+    """Reduced state of subsystem A of a state checked once, as a density matrix and as pure.
+
+    It keeps the state's dtype: a real state gives a float64 reduced state.
+    """
     w = density_eigenvalues(psi_rho)
     if w[0] < 1.0 - tolerance:
         raise ValueError(
             f"state is not pure within {tolerance:g}: largest eigenvalue {w[0]!r}"
         )
+    return _reduced_state(_as_matrices(psi_rho), "A")
 
 
 def pure_concurrence(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
     """Concurrence 2 sqrt(det rho_A) of a pure two-qubit state."""
-    _require_pure(psi_rho, tolerance)
-    ra = partial_trace(psi_rho, "A")
+    ra = _pure_reduced_state(psi_rho, tolerance)
     det = (ra[0, 0] * ra[1, 1] - ra[0, 1] * ra[1, 0]).real
     return min(1.0, 2.0 * math.sqrt(max(0.0, det)))
 
@@ -278,8 +283,7 @@ def entanglement_entropy_pure(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -
     Computed as the entropy of the reduced state of subsystem A; tracing
     out the other side gives the same value (to 1e-10) for pure input.
     """
-    _require_pure(psi_rho, tolerance)
-    return von_neumann_entropy(partial_trace(psi_rho, "A"))
+    return von_neumann_entropy(_pure_reduced_state(psi_rho, tolerance))
 
 
 def qfe_from_concurrence(c: float) -> float:
@@ -300,8 +304,7 @@ def qfe_variance_pure(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:
     sqrt(p(1-p)) |log2(p/(1-p))|, which vanishes at p in {0, 1/2, 1} and
     coincides with qfe_from_concurrence(2 sqrt(p(1-p))).
     """
-    _require_pure(psi_rho, tolerance)
-    w = hermitian_eigenvalues(partial_trace(psi_rho, "A"))
+    w = hermitian_eigenvalues(_pure_reduced_state(psi_rho, tolerance))
     p = min(1.0, max(0.0, float(w[0])))
     complement = 1.0 - p
     if p <= 0.0 or complement <= 0.0:

@@ -191,11 +191,16 @@ def partial_trace(rho, subsystem: str) -> np.ndarray:
     """
     m = _as_matrices(rho)
     _reject(m, _density_fault(m.reshape(-1, *m.shape[-2:])))
+    return _reduced_state(m, subsystem).astype(np.complex128, copy=False)
+
+
+def _reduced_state(m: np.ndarray, subsystem: str) -> np.ndarray:
+    """:func:`partial_trace` of matrices ``m`` already checked, in their own dtype."""
     if m.shape != (4, 4):
         raise ValueError("partial_trace expects a 4x4 density matrix")
     if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    r = m.astype(np.complex128, copy=False).reshape(2, 2, 2, 2)
+    r = m.reshape(2, 2, 2, 2)
     if subsystem == "A":
         return np.einsum("abcb->ac", r)
     return np.einsum("abad->bd", r)

@@ -398,9 +398,20 @@ def test_config_errors_name_the_path_and_line(line, message, tmp_path, capsys):
 
 CHUNK = cli._CHUNK_ROWS
 ROW_COUNTS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
-# NaN of both signs, infinities, signed zeros, the %g switch points, extremes
+# NaN of both signs, infinities, signed zeros, the %g switch points, extremes;
+# then the writer's hard cases: powers of ten and their neighbours, 9-digit
+# ties and near-ties (the doubles nearest (n + 0.5) 10**-j, whose scaled
+# value often rounds to exactly n + 0.5), carries into the next power of ten,
+# and magnitudes whose 9-digit mantissa needs a power of ten beyond 1e22
 POOL = (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 9.99999999e-05, 1e-4,
-        999999999.5, 1.0, 0.1, -2.5, 5e-324, 1.7976931348623157e308)
+        999999999.5, 1.0, 0.1, -2.5, 5e-324, 1.7976931348623157e308,
+        9.9999999995e-05, 99999999.95, 999999999.7, -9.999999997e-15, 1e-20, 1e12,
+        -123456789.5, 2.5e-15,
+        *(x for j in range(-30, 21)
+          for x in (10.0**j, np.nextafter(10.0**j, 0.0), np.nextafter(10.0**j, math.inf))),
+        961425.5485, 50.76087415, 2.007809635e-08, 8.471448545e-07, 3.859702565,
+        *(float(f"{n}5e-{j + 1}") for n in (100000000, 123456789, 999999999)
+          for j in range(0, 23, 2)))
 KINDS = ("constant", "per_chunk", "last_row", "edges", "random", "signed_zeros")
 
 
@@ -471,6 +482,31 @@ def test_write_csv_matches_the_per_row_writer(plan):
     grid = plan_grid(plan)
     expected = reference_csv(grid)
     assert written(grid) == (expected, expected)
+
+
+# A double's raw bits, drawn as sign, biased exponent and fraction so that every
+# exponent is as likely as any other: NaNs, infinities, subnormals, zeros and
+# the 16-character texts of negative values beyond 1e99 or below 1e-99.
+DOUBLE_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.builds(lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
+              st.integers(0, 1), st.integers(0, 2047), st.integers(0, 2**52 - 1)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.lists(DOUBLE_BITS, min_size=1, max_size=300))
+@example(bits=np.array([-1.5e200, -5e-324, -math.inf, math.nan]).view(np.uint64).tolist())
+def test_each_field_is_the_per_value_format_of_any_double(bits):
+    values = np.array(bits + [0] * (-len(bits) % 10), dtype=np.uint64).view(np.float64)
+    rows = values.reshape(-1, 10)
+    stdout, _ = written(GridValues(*rows.T.copy()))
+    fields = [line.split(",") for line in stdout.splitlines()[1:]]
+    expected = [["%#.9g" % v for v in row] for row in rows.tolist()]
+    for want, ratio in zip(expected, rows[:, 9]):
+        if math.isnan(ratio):
+            want[9] = ""  # a NaN ratio prints blank; a NaN elsewhere prints nan
+    assert fields == expected
 
 
 def test_write_csv_streams_in_bounded_memory(tmp_path):

@@ -19,13 +19,19 @@
 * ``cli.write_csv`` writes through ``cli._emit``, once per call: the
   benchmark's tracer (``bench/spans.py``) times CSV formatting as those two
   names, so a rename would silently read ``cli.format_s`` as 0.
+* The CSV writer prints at most 0.1% of the fields of the figure presets and
+  the sweep goldens through its one-value ``%`` fallback, so the work cannot
+  drift back to ``%`` unseen.
 """
 
 import ast
+import contextlib
+import io
 import pathlib
 import re
 
 import numpy as np
+import pytest
 
 import qfesim
 from qfesim import cli
@@ -181,3 +187,24 @@ def test_write_csv_writes_through_emit_once(monkeypatch):
     monkeypatch.setattr(cli, "_emit", lambda pieces, destination: calls.append(destination))
     cli.write_csv(evaluate_grid(0.5, 0.05, np.linspace(0.0, 0.9, 3 * cli._CHUNK_ROWS)), "a.csv")
     assert calls == ["a.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "--which", "fig1"],
+    ["figure", "--which", "fig2"],
+    ["figure", "--which", "fig3"],
+    ["sweep", "--variable", "q", "--min", "0", "--max", "0.9999", "--steps", "201",
+     "--theta", "pi/4", "--nu", "0"],
+    ["sweep", "--variable", "q", "--min", "0", "--max", "0.999", "--steps", "201",
+     "--theta", "pi/3", "--nu", "0.1"],
+], ids=["fig1", "fig2", "fig3", "sweep_q_nu0", "sweep_q_nu01"])
+def test_csv_writer_rarely_falls_back_to_percent(argv, monkeypatch):
+    fallbacks = []
+    format_real = cli._format_real
+    monkeypatch.setattr(cli, "_format_real",
+                        lambda value: fallbacks.append(value) or format_real(value))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    fields = 10 * (stdout.getvalue().count("\n") - 1)
+    assert fields > 0 and len(fallbacks) <= fields // 1000
