@@ -90,25 +90,33 @@ def _first(bad: np.ndarray):
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _hermiticity_defect(stack: np.ndarray) -> np.ndarray:
-    """max |M - M+| per matrix; ``conj()`` of a real stack is the stack itself, not a copy."""
-    return np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-
-
 def _finite_fault(stack: np.ndarray):
-    i = _first(~np.isfinite(stack).all(axis=(1, 2)))
-    return None if i is None else (i, "matrix entries must be finite")
+    """(index, reason) of the first matrix with a non-finite entry; one pass when there is none."""
+    if np.isfinite(stack).all():
+        return None
+    return _first(~np.isfinite(stack).all(axis=(1, 2))), "matrix entries must be finite"
+
+
+def _hermitian_fault(stack: np.ndarray, reason: str):
+    """(index, reason) of the first matrix with max |M - M+| above 1e-12; reason ends with it.
+
+    The whole stack is tested in one pass, and the defect per matrix is
+    formed only when one fails.  ``conj()`` of a real stack is the stack
+    itself, not a copy.
+    """
+    defect = np.abs(stack - stack.conj().swapaxes(1, 2))
+    if not defect.max(initial=0.0) > HERMITIAN_TOL:
+        return None
+    defect = defect.max(axis=(1, 2))
+    i = _first(defect > HERMITIAN_TOL)
+    return i, f"{reason}: max |M - M+| = {defect[i]:.3e}"
 
 
 def _density_fault(stack: np.ndarray):
     """(index, reason) of the first non-finite, non-Hermitian, then not unit-trace matrix."""
-    fault = _finite_fault(stack)
+    fault = _finite_fault(stack) or _hermitian_fault(stack, "density matrix must be Hermitian")
     if fault is not None:
         return fault
-    defect = _hermiticity_defect(stack)
-    i = _first(defect > HERMITIAN_TOL)
-    if i is not None:
-        return i, f"density matrix must be Hermitian: max |M - M+| = {defect[i]:.3e}"
     trace = np.trace(stack, axis1=1, axis2=2)
     i = _first(np.abs(trace - 1.0) > TRACE_TOL)
     if i is not None:
@@ -253,9 +261,10 @@ def _sweep(hv: np.ndarray, n: int) -> None:
     """One cyclic Jacobi sweep, in place, over hv = [H; V] of shape (parts, 2n, n, N), or H alone.
 
     A round rotates only the matrices with a pivot of magnitude at least
-    1e-18: all of them in place, some of them gathered and scattered back,
-    or none.  It then zeroes every pivot of the round and the imaginary
-    diagonal of every matrix, so a matrix's bits depend on its own entries.
+    1e-18: all of them in place, some of them gathered (with the matrix
+    axis still innermost) and scattered back, or none.  It then zeroes
+    every pivot of the round and the imaginary diagonal of every matrix,
+    so a matrix's bits depend on its own entries.
     """
     h = hv[:, :n]
     for rnd in _ROUNDS[n]:
@@ -270,8 +279,8 @@ def _sweep(hv: np.ndarray, n: int) -> None:
             _rotate(hv, n, rnd, a, r, live)
         elif rotated.any():
             idx = np.flatnonzero(rotated)
-            sub = hv[..., idx]
-            _rotate(sub, n, rnd, a[..., idx], r[:, idx], live[:, idx])
+            sub = hv.take(idx, axis=-1)  # unlike hv[..., idx], keeps the matrix axis innermost
+            _rotate(sub, n, rnd, *(x.take(idx, axis=-1) for x in (a, r, live)))
             hv[..., idx] = sub
         if len(h) == 2:
             h[1:, pivots[0], pivots[0]] = 0.0  # the diagonal stays real
@@ -286,7 +295,9 @@ def _jacobi(parts, vectors: bool) -> EigenDecomposition:
     eigenvectors.  Without ``vectors`` only H is rotated, and the
     eigenvectors are None.  Every matrix is checked before each sweep and
     set aside once its off-diagonal Frobenius mass is at most 1e-14, so its
-    result does not depend on the rest of the stack.
+    result does not depend on the rest of the stack.  The sweeps work on
+    one array with the matrix axis innermost, and ``compress`` keeps it so
+    when matrices are set aside.
     """
     count = len(parts)
     size, n = parts[0].shape[:2]
@@ -307,13 +318,14 @@ def _jacobi(parts, vectors: bool) -> EigenDecomposition:
         done = np.sqrt(2.0 * sum(sum(u * u))) <= _OFFDIAG_TARGET
         last = done.all()  # an empty stack too
         if last or done.any():
-            pick = slice(None) if last else done  # the last ones whole: no gather
-            w[live[pick]] = hv[0, d, d][:, pick].T
+            # once every matrix is done, hv is retired whole, with no gather
+            at, retired = (live, hv) if last else (live[done], hv.compress(done, axis=-1))
+            w[at] = retired[0, d, d].T
             if vectors:
-                rows[:, live[pick]] = hv[:, n:, :, pick].transpose(0, 3, 2, 1)
+                rows[:, at] = retired[:, n:].transpose(0, 3, 2, 1)
             if last:
                 break
-            live, hv = live[~done], hv[..., ~done]
+            live, hv = live[~done], hv.compress(~done, axis=-1)
         _sweep(hv, n)
     else:
         raise RuntimeError("Jacobi iteration failed to converge within 100 sweeps")
@@ -384,14 +396,8 @@ def _hermitian_stack(a):
     """(m, stack): ``a`` as matrices, and as a stack (see :func:`_real_view`) found finite and Hermitian."""
     m = _as_matrices(a)
     stack = _real_view(m.reshape(-1, *m.shape[-2:]))
-    fault = _finite_fault(stack)
-    if fault is None:
-        defect = _hermiticity_defect(stack)
-        i = _first(defect > HERMITIAN_TOL)
-        if i is not None:
-            fault = i, (f"matrix must be Hermitian within {HERMITIAN_TOL:g}: "
-                        f"max |M - M+| = {defect[i]:.3e}")
-    _reject(m, fault)
+    _reject(m, _finite_fault(stack)
+            or _hermitian_fault(stack, f"matrix must be Hermitian within {HERMITIAN_TOL:g}"))
     return m, stack
 
 

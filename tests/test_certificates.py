@@ -157,3 +157,27 @@ def test_universal_maximum_of_the_fluctuation():
         assert mpmath.diff(f, c_star, 2) < 0
         assert abs(f(c_star) - mpmath.mpf(F_STAR)) < mpmath.mpf("1e-17")
     assert abs(measures.qfe_from_concurrence(float(C_STAR)) - float(F_STAR)) <= 2e-16
+
+
+# --- the abstract's "~0.96" ---------------------------------------------------------
+
+
+def test_the_two_readings_of_the_abstracts_q_of_0_96():
+    # at theta = pi/4, C = (1 - q - nu^2 sqrt q) / (1 - q + nu^2 (1 + q) / 2); the QFE
+    # peak (C = C*) and sudden death (1 - q = nu^2 sqrt q) each sit at q = 0.96 for one nu
+    with mpmath.workdps(30):
+        def f(value):
+            return value * mpmath.log((1 + mpmath.sqrt(1 - value * value)) / value, 2)
+
+        c_star = mpmath.findroot(lambda v: mpmath.diff(f, v), mpmath.mpf("0.5"))
+        q = mpmath.mpf("0.96")
+        nu_peak = mpmath.sqrt((1 - q) * (1 - c_star) / (c_star * (1 + q) / 2 + mpmath.sqrt(q)))
+        nu_death = mpmath.sqrt((1 - q) / mpmath.sqrt(q))
+        for value, printed in ((c_star, "0.552434124531"), (nu_peak, "0.108484573101"),
+                               (nu_death, "0.202051550468")):
+            assert mpmath.nstr(value, 12) == printed
+    # the README's 7-digit readings, and the code's concurrence at them
+    assert abs(float(nu_peak) - 0.1084846) <= 1e-7 and abs(float(nu_death) - 0.2020516) <= 1e-7
+    peak, death = measures.evaluate_grid(math.pi / 4, np.array([float(nu_peak), float(nu_death)]),
+                                         0.96).concurrence
+    assert abs(peak - float(c_star)) <= 1e-12 and death <= 1e-12

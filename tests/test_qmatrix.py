@@ -425,3 +425,121 @@ def test_check_density_matrix_is_gone():
     # density_eigen replaces it; no caller may keep a check without the PSD floor
     with pytest.raises(ImportError):
         from qfesim.qmatrix import check_density_matrix  # noqa: F401
+
+
+# --- gathered and retired sub-stacks ----------------------------------------------
+
+
+def jacobi_path_stack(dtype):
+    """Matrices set aside before the first sweep, after one sweep and after several.
+
+    A near-diagonal matrix is converged from the start; an X-state with its one
+    coherence at (1, 2) has no live pivot in the first two rounds of a sweep, so
+    those rounds gather the dense matrices, and it converges after one sweep; the
+    dense matrices take several.  In the complex stack every matrix has an
+    imaginary part, so the stack is one complex solve.
+    """
+    phase = 1.0 if dtype is float else np.exp(0.7j)
+    near = np.diag([0.5, 0.25, 0.125, 0.125]).astype(dtype)
+    near[0, 1], near[1, 0] = 1e-15 * phase, 1e-15 * np.conj(phase)
+    x = np.diag([0.4, 0.3, 0.2, 0.1]).astype(dtype)
+    x[1, 2], x[2, 1] = 0.1 * phase, 0.1 * np.conj(phase)
+    rng = np.random.default_rng(14)
+    dense = [random_hermitian(rng) for _ in range(3)]
+    if dtype is float:
+        dense = [m.real for m in dense]
+    return np.array([x, dense[0], near, x * 0.5, dense[1], near * 2.0, dense[2], x])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gathered_and_retired_matrices_keep_their_lone_bits(dtype, monkeypatch):
+    # the sweeps see one array with the matrix axis innermost and contiguous, whole,
+    # gathered for a round or shrunk as matrices converge, and each matrix's bits are
+    # still the ones it gets alone
+    stack = jacobi_path_stack(dtype)
+    sweeps = []  # per sweep: matrices in it, and the matrices rotated in each rotating round
+    sweep, rotate = qmatrix._sweep, qmatrix._rotate
+
+    def recording_sweep(hv, n):
+        assert hv.strides[-1] == hv.itemsize
+        sweeps.append((hv.shape[-1], []))
+        sweep(hv, n)
+
+    def recording_rotate(hv, *rest):
+        arrays = [hv, *(x for x in rest[2:] if x is not None)]  # and a, r and live
+        assert all(x.strides[-1] == x.itemsize for x in arrays)
+        sweeps[-1][1].append(hv.shape[-1])
+        rotate(hv, *rest)
+
+    monkeypatch.setattr(qmatrix, "_sweep", recording_sweep)
+    monkeypatch.setattr(qmatrix, "_rotate", recording_rotate)
+    for solve in (qmatrix.hermitian_eigen, qmatrix.hermitian_eigenvalues):
+        sweeps.clear()
+        result = solve(stack)
+        sizes = [size for size, _ in sweeps]
+        assert sizes[0] == len(stack) - 2  # the near-diagonal ones before the first sweep
+        assert len(stack) - 5 in sizes and sizes[-1] < sizes[0]  # the X-states after one
+        assert any(0 < k < size for size, rotated in sweeps for k in rotated)  # gathered
+        for i, matrix in enumerate(stack):
+            alone = solve(matrix)
+            pairs = zip(result, alone) if isinstance(alone, tuple) else [(result, alone)]
+            assert all(part[i].tobytes() == lone.tobytes() for part, lone in pairs)
+
+
+# --- where a faulty stack is named ----------------------------------------------
+
+# the messages of each fault, as density_eigen and as hermitian_eigen give them
+FAULTS = {
+    "non-finite": ("matrix entries must be finite", "matrix entries must be finite"),
+    "non-Hermitian": ("density matrix must be Hermitian: max |M - M+| = 1.000e-06",
+                      "matrix must be Hermitian within 1e-12: max |M - M+| = 1.000e-06"),
+    "off unit trace": ("density matrix must have unit trace, got (1.0009765625+0j)", None),
+    "below the PSD floor": ("density matrix must be positive semidefinite: "
+                            "smallest eigenvalue -2.500e-01", None),
+}
+
+
+def faulty(states: np.ndarray, kind: str) -> np.ndarray:
+    """``states`` with the fault ``kind`` in matrices 1 and 3, the one in matrix 3 larger."""
+    states = states.copy()
+    for m, larger in ((states[1], False), (states[3], True)):
+        if kind == "non-finite":
+            m[3, 3] = np.inf if larger else np.nan
+        elif kind == "non-Hermitian":
+            m[0, 1] += 1e-3 if larger else 1e-6
+        elif kind == "off unit trace":
+            m[0, 0] += 2.0**-8 if larger else 2.0**-10
+        else:  # unit trace, one eigenvalue below the floor
+            m[...] = np.diag([0.75, 0.5, 0.25, -0.5] if larger else [0.5, 0.5, 0.25, -0.25])
+    return states
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("kind", FAULTS)
+def test_a_stack_with_two_faults_names_the_first(kind, dtype):
+    rho = np.diag([0.5, 0.25, 0.125, 0.125]).astype(dtype)
+    rho[1, 2] = 0.125 if dtype is float else 0.125 + 0.0625j
+    rho[2, 1] = np.conj(rho[1, 2])
+    stack = faulty(np.array([rho] * 4), kind)
+    density_reason, hermitian_reason = FAULTS[kind]
+    for solve in (qmatrix.density_eigen, qmatrix.density_eigenvalues):
+        with pytest.raises(ValueError) as error:
+            solve(stack)
+        assert str(error.value) == density_reason + " (matrix 1 of the stack)"
+    for solve in (qmatrix.hermitian_eigen, qmatrix.hermitian_eigenvalues):
+        if hermitian_reason is None:  # trace and PSD floor are density-matrix rules
+            solve(stack)
+            continue
+        with pytest.raises(ValueError) as error:
+            solve(stack)
+        assert str(error.value) == hermitian_reason + " (matrix 1 of the stack)"
+
+
+@pytest.mark.parametrize("kind", FAULTS)
+def test_an_oracle_chunk_with_two_faults_names_the_first_point(kind, monkeypatch):
+    grid = measures.evaluate_grid(0.6, 0.05, np.array([0.1, 0.2, 0.3, 0.4]))
+    build = measures._x_state_real
+    monkeypatch.setattr(measures, "_x_state_real", lambda *weights: faulty(build(*weights), kind))
+    with pytest.raises(ValueError) as error:
+        measures.oracle_deviations(grid)
+    assert str(error.value) == FAULTS[kind][0] + " at (theta, nu, q) = (0.6, 0.05, 0.2)"

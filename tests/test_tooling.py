@@ -12,6 +12,11 @@
   stack; every other module solves through ``hermitian_eigen``,
   ``hermitian_eigenvalues`` or the density solves above, each of which
   takes an eigenvalues-only form.
+* ``qmatrix`` loads no stack through a ``[..., index]`` subscript, an index
+  array or mask after an ellipsis: numpy puts the indexed axis outermost in
+  memory, so every later sweep over such a sub-stack would loop over an
+  inner axis of length 2 to 8.  ``take`` and ``compress`` keep the matrix
+  axis innermost.
 * The README's "Library entry points" block runs, and it imports exactly
   the names in ``qfesim.__all__``.
 * The README's "Config keys" table lists the CLI option table's keys, in
@@ -151,6 +156,33 @@ def test_unchecked_solve_scan_catches_each_form():
                    "qmatrix._density_solve(rho, vectors=False)",
                    "qmatrix.density_eigenvalues(rho)"):
         assert not _uses(ast.parse(source), UNCHECKED_SOLVE_NAMES), source
+
+
+def _ellipsis_gathers(tree: ast.AST) -> list[str]:
+    """Loads through x[..., i] with i neither a slice nor a constant."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) \
+                and isinstance(node.slice, ast.Tuple) and len(node.slice.elts) > 1:
+            first, last = node.slice.elts[0], node.slice.elts[-1]
+            if isinstance(first, ast.Constant) and first.value is Ellipsis \
+                    and not isinstance(last, (ast.Slice, ast.Constant)):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_qmatrix_gathers_no_stack_through_an_ellipsis_subscript():
+    source = (ROOT / "src" / "qfesim" / "qmatrix.py").read_text(encoding="utf-8")
+    assert _ellipsis_gathers(ast.parse(source)) == []
+
+
+def test_ellipsis_gather_scan_catches_each_form():
+    for source in ("sub = hv[..., idx]", "hv = hv[..., ~done]", "a[..., np.flatnonzero(m)]",
+                   "x = hv[..., pick].T", "f(hv[..., :n, live])", "hv[..., [0, 2]]"):
+        assert _ellipsis_gathers(ast.parse(source)), source
+    for source in ("hv[..., idx] = sub", "hv.take(idx, axis=-1)", "hv.compress(~done, axis=-1)",
+                   "hv[..., 0]", "hv[..., 1:]", "h[:, p, q]", "stack[part]", "hv[:, :, ps]"):
+        assert not _ellipsis_gathers(ast.parse(source)), source
 
 
 def _readme_entry_point_block() -> str:
