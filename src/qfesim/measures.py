@@ -19,8 +19,9 @@ Two routes to the measures are kept deliberately separate:
 The two must agree to 1e-9; ``evaluate_grid(..., cross_check=True)``
 enforces that per point for the concurrence and the entropy.  The check
 (:func:`oracle_deviations`) rebuilds the states in float64, 1,024 at a
-time, validates each chunk once and makes two batched Jacobi solves per
-chunk, so two solved matrices per point.
+time, and solves each run of bitwise identical neighbours once: each
+chunk's distinct states are validated once and take two batched Jacobi
+solves, so at most two solved matrices per point.
 Entropies and fluctuations are in bits.
 """
 
@@ -152,12 +153,15 @@ def oracle_deviations(grid: GridValues) -> np.ndarray:
     Columns: concurrence, entropy, and the worst entry of the squared
     spin-flip spectrum against {4 mu^2 sin^2 2theta, eta upsilon,
     eta upsilon, 0}.  The states are rebuilt from their weights as float64,
-    1,024 at a time (``_CHUNK_POINTS``).  Each chunk is checked once as a
-    stack, by the validation of :func:`~qfesim.qmatrix.density_eigen`, and
-    costs two batched Jacobi solves: one of rho, giving the entropy, and
-    one of tau in the spin-flip spectrum, for its eigenvalues only, so two
-    solved matrices per point.  Real states stay float64 throughout.  A
-    ValueError from the matrix route names the point.
+    1,024 at a time (``_CHUNK_POINTS``).  A run of consecutive, bitwise
+    identical states in a chunk is solved once and its results repeated
+    (at nu = 0 the state does not depend on q).  The distinct states of a
+    chunk are checked once as a stack, by the validation of
+    :func:`~qfesim.qmatrix.density_eigen`, and cost two batched Jacobi
+    solves: one of rho, giving the entropy, and one of tau in the
+    spin-flip spectrum, for its eigenvalues only, so at most two solved
+    matrices per point.  Real states stay float64 throughout.  A
+    ValueError from the matrix route names the point, the first of its run.
     """
     lam = _x_spin_flip_squares(grid.theta, grid.mu, grid.upsilon, grid.eta)
     out = np.empty((len(grid.theta), 3))
@@ -165,15 +169,30 @@ def oracle_deviations(grid: GridValues) -> np.ndarray:
         chunk = slice(start, start + _CHUNK_POINTS)
         rho = _x_state_real(grid.theta[chunk], grid.mu[chunk], grid.upsilon[chunk],
                             grid.eta[chunk])
-        eig, fault = _density_spectrum(rho)
+        first = _run_starts(rho)
+        eig, fault = _density_spectrum(rho if len(first) == len(rho) else rho[first])
         if fault is not None:
             i, reason = fault
-            raise ValueError(f"{reason} at {_point_name(grid.theta, grid.nu, grid.q, start + i)}")
-        r = _spin_flip(eig)
+            raise ValueError(
+                f"{reason} at {_point_name(grid.theta, grid.nu, grid.q, start + first[i])}")
+        runs = np.diff(first, append=len(rho))
+        r = np.repeat(_spin_flip(eig), runs, axis=0)
+        entropy = np.repeat(_entropy_bits(eig.eigenvalues), runs)
         out[chunk, 0] = np.abs(grid.concurrence[chunk] - _wootters_concurrence(r))
-        out[chunk, 1] = np.abs(grid.entropy[chunk] - _entropy_bits(eig.eigenvalues))
+        out[chunk, 1] = np.abs(grid.entropy[chunk] - entropy)
         out[chunk, 2] = np.abs(lam[chunk] - r**2).max(axis=1)
     return out
+
+
+def _run_starts(stack: np.ndarray) -> np.ndarray:
+    """Index of the first matrix of each run of bitwise identical neighbours in a stack.
+
+    Each matrix is compared as one opaque block of bytes, so -0.0 and 0.0
+    differ and a NaN equals a NaN of the same bits.
+    """
+    rows = stack.reshape(len(stack), -1)
+    blocks = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    return np.flatnonzero(np.r_[True, blocks[1:] != blocks[:-1]])
 
 
 def wootters_spectrum(rho) -> np.ndarray:

@@ -46,7 +46,6 @@ _ROUNDS = {
     ],
 }
 _UPPER = {n: np.triu_indices(n, 1) for n in _ROUNDS}
-_DIAGONAL = {n: np.arange(n) for n in _ROUNDS}
 _FLIP = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
 
 
@@ -261,10 +260,13 @@ def _sweep(hv: np.ndarray, n: int) -> None:
     """One cyclic Jacobi sweep, in place, over hv = [H; V] of shape (parts, 2n, n, N), or H alone.
 
     A round rotates only the matrices with a pivot of magnitude at least
-    1e-18: all of them in place, some of them gathered (with the matrix
-    axis still innermost) and scattered back, or none.  It then zeroes
-    every pivot of the round and the imaginary diagonal of every matrix,
-    so a matrix's bits depend on its own entries.
+    1e-18.  When more than half of them have one, the whole stack is
+    rotated in place, and the rest, copied out with ``take`` first, are
+    written back (a zero-angle rotation can still turn -0.0 into +0.0).
+    Otherwise the live ones are gathered (with the matrix axis still
+    innermost) and scattered back, or none is rotated.  The round then
+    zeroes every pivot and the imaginary diagonal of every matrix, so a
+    matrix's bits depend on its own entries.
     """
     h = hv[:, :n]
     for rnd in _ROUNDS[n]:
@@ -275,8 +277,11 @@ def _sweep(hv: np.ndarray, n: int) -> None:
         rotated = None if live.all() else live.any(axis=0)  # None: every pivot is live
         if rotated is None:
             _rotate(hv, n, rnd, a, r, None)
-        elif rotated.all():
+        elif 2 * np.count_nonzero(rotated) > len(rotated):
+            idx = np.flatnonzero(~rotated)
+            kept = hv.take(idx, axis=-1)  # a masked rotation may flip the sign of their zeros
             _rotate(hv, n, rnd, a, r, live)
+            hv[..., idx] = kept
         elif rotated.any():
             idx = np.flatnonzero(rotated)
             sub = hv.take(idx, axis=-1)  # unlike hv[..., idx], keeps the matrix axis innermost
@@ -297,7 +302,8 @@ def _jacobi(parts, vectors: bool) -> EigenDecomposition:
     set aside once its off-diagonal Frobenius mass is at most 1e-14, so its
     result does not depend on the rest of the stack.  The sweeps work on
     one array with the matrix axis innermost, and ``compress`` keeps it so
-    when matrices are set aside.
+    when matrices are set aside; a stack that converges all at once is
+    read out through a slice.
     """
     count = len(parts)
     size, n = parts[0].shape[:2]
@@ -311,7 +317,6 @@ def _jacobi(parts, vectors: bool) -> EigenDecomposition:
         hv[0, n:] = np.eye(n)[:, :, None]
         rows = np.empty((count, size, n, n))  # the parts of the eigenvectors, one per row
     w = np.empty((size, n))
-    d = _DIAGONAL[n]
     live = np.arange(size)
     for _ in range(_MAX_SWEEPS):
         u = hv[(slice(None),) + _UPPER[n]]
@@ -319,8 +324,11 @@ def _jacobi(parts, vectors: bool) -> EigenDecomposition:
         last = done.all()  # an empty stack too
         if last or done.any():
             # once every matrix is done, hv is retired whole, with no gather
-            at, retired = (live, hv) if last else (live[done], hv.compress(done, axis=-1))
-            w[at] = retired[0, d, d].T
+            if not last:
+                at, retired = live[done], hv.compress(done, axis=-1)
+            else:  # a slice, not an index array, when no matrix was set aside earlier
+                at, retired = (slice(None) if len(live) == size else live), hv
+            w[at] = retired[0].diagonal(axis1=0, axis2=1)
             if vectors:
                 rows[:, at] = retired[:, n:].transpose(0, 3, 2, 1)
             if last:

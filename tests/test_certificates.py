@@ -181,3 +181,24 @@ def test_the_two_readings_of_the_abstracts_q_of_0_96():
     peak, death = measures.evaluate_grid(math.pi / 4, np.array([float(nu_peak), float(nu_death)]),
                                          0.96).concurrence
     assert abs(peak - float(c_star)) <= 1e-12 and death <= 1e-12
+
+
+# --- the abstract's "the ratio dE/C is still large" ---------------------------------
+
+
+def test_the_ratio_decreases_in_c_and_diverges_like_log2_2_over_c():
+    # ratio = QFE / C = log2((1 + sqrt(1 - C^2)) / C); d ratio / dC = -1 / (ln 2 C sqrt(1 - C^2))
+    # is negative on (0, 1) and the ratio is continuous at C = 1, so it strictly decreases
+    # on (0, 1], and ratio - log2(2 / C) = log2((1 + sqrt(1 - C^2)) / 2) -> 0 as C -> 0
+    big_c = sp.symbols("C", positive=True)
+    ratio = sp.log((1 + sp.sqrt(1 - big_c**2)) / big_c, 2)
+    slope = sp.diff(ratio, big_c)
+    assert sp.simplify(slope * big_c * sp.sqrt(1 - big_c**2) * sp.log(2)) == -1
+    assert sp.limit(ratio - sp.log(2 / big_c, 2), big_c, 0, "+") == 0
+    assert ratio.subs(big_c, 1) == 0
+    # the code's ratio column: decreasing in C, and within C^2 / (4 ln 2) of log2(2 / C)
+    concurrence = np.geomspace(1e-9, 1.0, 400)
+    code_ratio = measures._qfe_and_ratio(concurrence)[1]
+    assert (np.diff(code_ratio) < 0.0).all() and code_ratio[-1] == 0.0
+    gap = code_ratio - np.log2(2.0 / concurrence)  # exactly log2((1 + sqrt(1 - C^2)) / 2) <= 0
+    assert (gap <= 1e-14).all() and np.abs(gap[concurrence <= 1e-7]).max() <= 1e-14

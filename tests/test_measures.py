@@ -432,6 +432,59 @@ def test_oracle_deviations_two_solves_per_point(monkeypatch):
     assert solved == [256, 256, 44, 44]  # two batched calls per chunk of 256
 
 
+def test_oracle_solves_each_distinct_state_once(monkeypatch):
+    # at nu = 0 the state does not depend on q, so a sweep in q is one state repeated
+    from qfesim import qmatrix
+
+    solved = []
+    real = qmatrix._unchecked_eigen
+
+    def counting(a, vectors=True):
+        solved.append(len(a))
+        return real(a, vectors)
+
+    monkeypatch.setattr(qmatrix, "_unchecked_eigen", counting)
+    grid = measures.evaluate_grid(0.7, 0.0, np.linspace(0.0, 0.999, 1000), cross_check=True)
+    assert len(grid.q) == 1000
+    assert solved == [1, 1]  # one rho and one tau for the whole sweep
+    solved.clear()
+    # runs of nu = 0 broken by nu > 0 points, and cut by the chunk ends
+    nu = np.where(np.arange(2500) % 400 < 300, 0.0, 0.05)
+    grid = measures.evaluate_grid(np.repeat([0.2, 0.9, 1.3], [900, 900, 700]), nu,
+                                  np.tile(np.linspace(0.0, 0.99, 500), 5))
+    whole = measures.oracle_deviations(grid)
+    runs = [len(measures._run_starts(measures._x_state_real(*(col[chunk] for col in (
+        grid.theta, grid.mu, grid.upsilon, grid.eta)))))
+        for chunk in (slice(0, 1024), slice(1024, 2048), slice(2048, 2500))]
+    assert solved == [runs[0], runs[0], runs[1], runs[1], runs[2], runs[2]]
+    # each of the 600 nu > 0 points, and the seven nu = 0 stretches, cut twice by a change
+    # of theta (at 900 and 1,800) and twice by a chunk end (at 1,024 and 2,048)
+    assert np.count_nonzero(nu) == 600 and sum(runs) == 600 + 7 + 2 + 2
+    for i in range(len(grid.q)):
+        one = measures.oracle_deviations(measures.GridValues(*(col[i:i + 1] for col in grid)))
+        assert one.tobytes() == whole[i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("index", [1500, 2048])
+@pytest.mark.parametrize("fault", ["unit trace", "positive semidefinite"])
+def test_a_fault_inside_a_run_of_identical_states_names_its_first_point(index, fault):
+    # at nu = 0 every state of the sweep is the same, so from index on the faulty states
+    # are one run; the run is solved once and the error names its first point
+    qs = np.linspace(0.0, 0.9, 3000)
+    grid = measures.evaluate_grid(0.6, 0.0, qs)
+    assert index > measures._CHUNK_POINTS
+    eta, upsilon = grid.eta.copy(), grid.upsilon.copy()
+    if fault == "unit trace":
+        eta[index:] += 1e-6
+    else:  # the same trace, one eigenvalue below the floor
+        upsilon[index:] += eta[index:] + 1e-6
+        eta[index:] = -1e-6
+    with pytest.raises(ValueError) as error:
+        measures.oracle_deviations(grid._replace(eta=eta, upsilon=upsilon))
+    assert fault in str(error.value)
+    assert str(error.value).endswith(f"at (theta, nu, q) = (0.6, 0.0, {float(qs[index])!r})")
+
+
 def _oracle_peak_bytes(grid) -> int:
     import tracemalloc
 

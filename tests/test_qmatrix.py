@@ -486,6 +486,63 @@ def test_gathered_and_retired_matrices_keep_their_lone_bits(dtype, monkeypatch):
             assert all(part[i].tobytes() == lone.tobytes() for part, lone in pairs)
 
 
+def first_round_only(dtype):
+    """A matrix live in the first round of a sweep only, with -0.0 wherever it is zero.
+
+    Its one coupling, at (0, 1), is rotated away in the first round; every other
+    off-diagonal entry and the (2, 2) entry are -0.0.  A masked rotation with a zero
+    angle still forms -0.0 + 0.0, so rotating it in a later round would turn some of
+    those zeros into +0.0.
+    """
+    zero = -0.0 if dtype is float else complex(-0.0, -0.0)
+    m = np.full((4, 4), zero, dtype=dtype)
+    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = 0.5, 0.25, -0.0, 0.125
+    m[0, 1] = 0.3 if dtype is float else 0.3 * np.exp(0.7j)
+    m[1, 0] = np.conj(m[0, 1])
+    return m
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("dense_count, dead_count", [(5, 3), (2, 5)])
+def test_a_partly_live_round_keeps_the_lone_bits_in_place_or_gathered(
+        dtype, dense_count, dead_count, monkeypatch):
+    # rounds 2 and 3 of the first sweep rotate the dense matrices only: with most of
+    # the stack live they rotate the whole stack in place and put the others back,
+    # with few live they gather the live ones; the bits are each matrix's own either way
+    rng = np.random.default_rng(19)
+    dense = [random_hermitian(rng) for _ in range(dense_count)]
+    if dtype is float:
+        dense = [m.real for m in dense]
+    dead = first_round_only(dtype)
+    stack = np.array(dense + [dead] * dead_count)[rng.permutation(dense_count + dead_count)]
+    rounds = []  # (matrices in the sweep, matrices rotated) per rotating round, in order
+    sweep, rotate = qmatrix._sweep, qmatrix._rotate
+
+    def recording_sweep(hv, n):
+        rounds.append((hv.shape[-1], []))
+        sweep(hv, n)
+
+    def recording_rotate(hv, *rest):
+        rounds[-1][1].append(hv.shape[-1])
+        rotate(hv, *rest)
+
+    monkeypatch.setattr(qmatrix, "_sweep", recording_sweep)
+    monkeypatch.setattr(qmatrix, "_rotate", recording_rotate)
+    size = len(stack)
+    later = size if dense_count > dead_count else dense_count  # in place, or gathered
+    for solve in (qmatrix.hermitian_eigen, qmatrix.hermitian_eigenvalues):
+        rounds.clear()
+        result = solve(stack)
+        assert rounds[0] == (size, [size, later, later])
+        results = result if isinstance(result, tuple) else (result,)
+        for i, matrix in enumerate(stack):
+            alone = solve(matrix)
+            alone = alone if isinstance(alone, tuple) else (alone,)
+            assert all(part[i].tobytes() == lone.tobytes() for part, lone in zip(results, alone))
+    w = qmatrix.hermitian_eigenvalues(dead)
+    assert np.signbit(w).tolist() == [False, False, False, True]  # the -0.0 is an eigenvalue
+
+
 # --- where a faulty stack is named ----------------------------------------------
 
 # the messages of each fault, as density_eigen and as hermitian_eigen give them
