@@ -141,128 +141,203 @@ def _format_real(value: float) -> str:
 _CHUNK_ROWS = 1024  # grid rows formatted at a time; bounds peak memory
 
 
-# The %#.9g kernel.  Each field takes 16 bytes, two little-endian uint64
-# words: its text right-aligned in bytes 0-14 and its separator in byte 15;
-# every other byte is 0.  The digits start as "000000" and the 9 mantissa
-# digits in bytes 0-14; in exponent notation they sit 4 bytes lower,
-# followed by "e-XX".  A field's class is min(k, 13) + 1, plus 14 if
-# negative; class 0 prints nothing of its own (a blank ratio, or a literal
-# text written in afterwards) and class 29 prints "nan".  Per class, the
-# tables keep the digits right of the decimal point, take those left of it
-# from one byte higher, and add the point and the sign.
+# The %#.9g kernel.  A field takes 16 bytes, two little-endian uint64 words,
+# and every zero byte is dropped when a chunk is joined into text.  A finite
+# v != 0 has the form k + 1, with k = 8 - floor(log10|v|) in [0, 22]; forms
+# 1-13 print fixed notation and forms 14-23 exponent notation.  The low word
+# is one table lookup by sign, form and the 2 leading digits: the sign, a
+# leading "0." and zeros, the 2 digits and the point.  The high word holds
+# the other 7 digits, in bytes 8-14, and the separator.  In forms 1-7 and
+# 14-23, some of them move (``_MOVES``): in fixed notation from 100 up, the
+# digits before the point move one byte lower, into the gap at byte 7; in
+# exponent notation all 7 move 4 bytes lower, before "e-XX".  A field with
+# no digits of its own takes the empty low word of the unused form 0, and a
+# high word that holds "nan" or nothing (a blank ratio, or a literal text
+# written in afterwards).
+_FORMS = 24  # per sign
+_ZERO = 9  # the form of a zero: "0.00000000"
 _POWERS = np.array([math.nan] + [float(10**k) for k in range(23)] + [math.nan])  # at k + 1
+_LAYOUTS = {7: b"____SAB.", 8: b"____SA.B", 9: b"___S0.AB", 10: b"__S0.0AB",
+            11: b"_S0.00AB", 12: b"S0.000AB"}  # the low word by k: sign, digits 1 and 2
+_BIG, _EXPONENT = b"____SAB_", b"SA.B____"  # k = 0-6, k = 13-22
 
 
-def _digit_table(*at, dtype=np.uint64) -> np.ndarray:
-    """Little-endian words of the digit strings "0..0" to "9..9", digit i in byte at[i]."""
+def _digit_table(count: int, zero: int, dtype=np.uint64) -> np.ndarray:
+    """Little-endian words of the digit strings "0..0" to "9..9", the first in byte 0.
+
+    The digit d is the byte ``zero + d``.
+    """
     table = np.zeros(1, dtype)
-    for byte in at:
-        table = (table[:, None] | np.arange(48, 58, dtype=dtype) << dtype(8 * byte)).ravel()
+    for byte in range(count):
+        digit = np.arange(zero, zero + 10, dtype=dtype) << dtype(8 * byte)
+        table = (table[:, None] | digit).ravel()
     return table
 
 
-_PAIR = _digit_table(6, 7) | np.uint64(int.from_bytes(b"000000", "little"))
-_QUAD = _digit_table(0, 1, 2, 3, dtype=np.uint32)
-_TRIPLE = _digit_table(4, 5, 6)
-_EXPONENT = np.frombuffer(b"".join(b"\0\0\0e-%02d\0" % (k - 8) for k in range(13, 23)), "<u8")
-_SEPARATORS = np.frombuffer(b",,,,,,,,,\n", np.uint8)
-_NAN = 29
+# The high word is _QUAD[digits 3-6] | _TRIPLE[digits 7-9].  _QUAD holds its
+# digits as the bytes 0-9; a _TRIPLE entry holds "0000" under them, its own 3
+# digits and ",".  Entries 1000 and 1001 hold only "," and "nan,": with the
+# middle digits 0, such a field prints nothing or "nan" of its own.
+_QUAD = _digit_table(4, 0, np.uint32)
+_TRIPLE = np.append(_digit_table(3, ord("0")) << np.uint64(32) | np.uint64(0x30303030),
+                    np.frombuffer(b"\0" * 8 + b"\0\0\0\0nan\0", "<u8")) | np.uint64(ord(",") << 56)
+_BLANK, _NAN = 1000, 1001
+_NEWLINE = np.uint64((ord(",") ^ ord("\n")) << 56)  # turns the separator in byte 15 into "\n"
 
 
-def _class_tables():
-    """Per class, 16 bytes each: the digits kept, the digits taken from one higher, the marks."""
-    right, left, marks = bytearray(16), bytearray(16), bytearray(16)  # class 0
-    for sign in (b"\0", b"-"):
-        for form in range(14):  # min(k, 13)
-            point = max(14 - form, 2)
-            start = 13 - min(max(form, 8), 12)  # the first byte of the unsigned text
-            right += bytes(point + 1) + b"\xff" * (14 - point) + bytes(1)
-            left += bytes(start) + b"\xff" * (point - start) + bytes(16 - point)
-            marks += bytes(start - 1) + sign + bytes(point - start) + b"." + bytes(15 - point)
-    right, left, marks = right + bytes(16), left + bytes(16), marks + bytes(12) + b"nan\0"
-    return tuple(np.frombuffer(table, np.uint8).reshape(-1, 16) for table in (right, left, marks))
+def _word_tables():
+    """The low word by sign, form and leading digit pair; the moves of the high word by form.
+
+    A move is (taken, shift, lowered, lowered_kept, kept, marks): the low
+    word gains ``(high & taken) << shift``, and the high word becomes
+    ``(high >> lowered) & lowered_kept | high & kept | marks``.
+    """
+    layouts = [_LAYOUTS.get(k, _BIG if k < 7 else _EXPONENT) for k in range(23)]
+    pair = _digit_table(2, ord("0"))
+    at = {letter: np.array([[8 * layout.index(letter)] for layout in layouts], np.uint64)
+          for letter in (b"A", b"B")}
+    digits = (pair & np.uint64(0xFF)) << at[b"A"] | (pair >> np.uint64(8)) << at[b"B"]
+    low = np.zeros((2, _FORMS, 100), np.uint64)
+    for sign, mark in enumerate((b"\0", b"-")):
+        marks = [int.from_bytes(layout.translate(bytes.maketrans(b"_ABS", b"\0\0\0" + mark)),
+                                "little") for layout in layouts]
+        low[sign, 1:] = digits | np.array(marks, np.uint64)[:, None]
+    moves = [(0,) * 6] * _FORMS
+    for k in range(7):  # digit 3 to byte 7, digits 4 to 9 - k one byte lower, then the point
+        point = 8 * (6 - k)  # its bit in the high word
+        moves[k + 1] = (0xFF, 56, 8, (1 << point) - 1, -(1 << point + 8) % 2**64, 0x2E << point)
+    for k in range(13, 23):  # digits 3-6 to bytes 4-7, digits 7-9 to bytes 8-10, then "e-XX,"
+        suffix = int.from_bytes(b"\0\0\0e-%02d," % (k - 8), "little")
+        moves[k + 1] = (0xFFFFFFFF, 32, 32, 0xFFFFFF, 0, suffix)
+    return low.reshape(-1), np.array(moves, np.uint64)
 
 
-_RIGHT, _LEFT, _MARKS = _class_tables()
+_LOW, _MOVES = _word_tables()
 
 
 def _decimal_parts(values: np.ndarray):
-    """(m, k + 1, literals): the 9-digit mantissa and its power-of-ten index.
+    """(m, k + 1, exact): the 9-digit mantissa, its power-of-ten index and where both hold.
 
     For finite ``v != 0`` with ``e = floor(log10|v|)`` and ``k = 8 - e`` in
     [0, 22], ``10**k`` is exact, so ``fl(|v| 10**k)`` is off by less than
     1.2e-7 from the exact scaled value below 1e9, and its ``rint`` is the
     correctly rounded 9-digit mantissa unless it lies within 1e-6 of a
-    half.  A zero or a NaN gets ``m = 0`` and ``k = 8``.  ``literals`` maps
-    the index of every other value to its ``_format_real`` text:
-    infinities, near-ties, every other ``k``, a scaled value below 1e8
-    (``log10`` rounded across a power of ten) and a mantissa that rounds up
-    to 1e9.
+    half.  ``e`` comes from a float32 ``log10``, and each step is checked:
+    ``exact`` is False for zeros, NaNs, infinities, near-ties, every other
+    ``k`` (values below 1e-14 or from 1e9 up), a scaled value below 1e8 and
+    a mantissa of 1e9 (``e`` off by one near a power of ten).
     """
     magnitude = np.abs(values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.log10(magnitude)
-        np.floor(scaled, out=scaled)
-        np.subtract(9.0, scaled, out=scaled)
-        index = np.fmax(np.fmin(scaled, 24.0, out=scaled), 0.0, out=scaled).astype(np.intp)
-        np.multiply(magnitude, _POWERS.take(index), out=scaled)  # NaN unless 0 <= k <= 22
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        estimate = np.log10(magnitude.astype(np.float32))
+        np.subtract(9.0, estimate, out=estimate)
+        # k + 1 = ceil(9 - log10|v|); a NaN or an infinity casts to some
+        # integer, and the clipped take gives it a NaN power
+        index = np.ceil(estimate, out=estimate).astype(np.intp)
+        scaled = np.multiply(magnitude, _POWERS.take(index, mode="clip"))
         mantissa = np.rint(scaled)
-        exact = (scaled >= 1e8) & (mantissa < 1e9)
-        exact &= np.abs(np.subtract(scaled, mantissa, out=scaled), out=scaled) < 0.5 - 1e-6
-    inexact = ~exact
-    literals = {i: _format_real(values.item(i))  # > 0: neither zero nor NaN
-                for i in np.flatnonzero(inexact & (magnitude > 0)).tolist()}
-    mantissa[inexact] = 0
-    index[inexact] = 9
-    return mantissa.astype(np.uint32), index, literals
+        np.subtract(scaled, mantissa, out=magnitude)
+        exact = np.abs(magnitude, out=magnitude) < 0.5 - 1e-6
+        exact &= scaled >= 1e8
+        exact &= mantissa < 1e9
+    return mantissa, index, exact
 
 
-def _format_chunk(chunk: np.ndarray) -> str:
-    """CSV text of ``chunk`` (rows of 10 values), each field ``"%#.9g" % v``.
+def _field_words(values: np.ndarray, ratio: slice):
+    """(words, literals): the 16 bytes of each value's field as two uint64 words.
 
-    A NaN prints ``nan``, or nothing in the ratio column.
+    ``values[ratio]`` are ratios: a NaN among them is blank and ends its
+    row.  ``literals`` maps the index of every value that ``_decimal_parts``
+    leaves out, but a zero or a NaN, to its ``_format_real`` text; its last
+    15 characters are in its words.
     """
-    values = chunk.ravel()
-    mantissa, index, literals = _decimal_parts(values)
+    mantissa, index, exact = _decimal_parts(values)
+    special = np.flatnonzero(~exact)
+    mantissa[special] = 0
+    index[special] = _ZERO
+    mantissa = mantissa.astype(np.uint32)
+    pair = mantissa // 10**7
+    rest = mantissa - pair * 10**7
+    middle = rest // 1000
+    rest -= middle * 1000
+    key = index * 100
+    key += pair
+    np.add(key, _FORMS * 100, out=key, where=np.signbit(values))
+    del mantissa, exact, pair  # each stage frees its temporaries: they set the peak memory
+    literals = {}
+    if special.size:  # a NaN, an infinity or a literal has no digits of its own
+        bare = special[values[special] != 0.0]
+        nan = np.isnan(values[bare])
+        key[bare] = 0  # form 0: an empty low word
+        rest[bare] = np.where(nan & ((bare < ratio.start) | (bare >= ratio.stop)), _NAN, _BLANK)
+        literals = {i: _format_real(values.item(i)) for i in bare[~nan].tolist()}
     words = np.empty((len(values), 2), np.uint64)
-    rest = mantissa % 10**7
-    words[:, 0] = _PAIR.take(mantissa // 10**7)
-    words[:, 1] = _QUAD.take(rest // 1000)
-    words[:, 1] |= _TRIPLE.take(rest % 1000)
-    del mantissa, rest  # each stage frees its temporaries: they set the peak memory
-    exponent = np.flatnonzero(index > 13)
-    if exponent.size:
-        low, high = words[exponent, 0], words[exponent, 1]
-        words[exponent, 0] = (low >> np.uint64(32)) | (high << np.uint64(32))
-        words[exponent, 1] = (high >> np.uint64(32)) | _EXPONENT.take(index[exponent] - 14)
-    klass = np.minimum(index, 14, out=index)
-    np.add(klass, 14, out=klass, where=np.signbit(values))
-    nan = np.isnan(values)
-    if nan.any():
-        klass[nan] = _NAN
-        ratio = klass.reshape(-1, 10)[:, 9]
-        ratio[ratio == _NAN] = 0
-    if literals:
-        klass[list(literals)] = 0
+    words[:, 0] = _LOW.take(key)
+    np.bitwise_or(_QUAD.take(middle), _TRIPLE.take(rest), out=words[:, 1])
+    del rest, middle, key
+    moving = np.flatnonzero((index - 8).view(np.uint64) > 5)  # forms 1-7 and 14-23
+    if moving.size:
+        low, high = words[moving].T
+        taken, shift, lowered, lowered_kept, kept, marks = _MOVES[index[moving]].T
+        words[moving] = np.column_stack([
+            low | (high & taken) << shift,
+            (high >> lowered) & lowered_kept | high & kept | marks])
+    words[ratio, 1] ^= _NEWLINE
+    if literals:  # right-aligned in bytes 0-14
+        tails = b"".join(text[-15:].encode("ascii").rjust(15, b"\0") + b"\0"
+                         for text in literals.values())
+        words[list(literals)] |= np.frombuffer(tails, "<u8").reshape(-1, 2)
+    return words, literals
 
-    digits = words.view(np.uint8).reshape(-1)
-    text = _RIGHT.take(klass, axis=0)
-    flat = text.reshape(-1)
-    flat &= digits
-    shifted = _LEFT.take(klass, axis=0).reshape(-1)
-    np.bitwise_and(shifted[:-1], digits[1:], out=shifted[:-1])
-    flat |= shifted
-    flat |= _MARKS.take(klass, axis=0, out=shifted.reshape(text.shape), mode="clip").reshape(-1)
-    del words, digits, shifted
-    text.reshape(-1, 10, 16)[:, :, 15] = _SEPARATORS
-    for i, literal in literals.items():
-        tail = literal[-15:].encode("ascii")
-        text[i, 15 - len(tail):15] = np.frombuffer(tail, np.uint8)
-    out = str(text[text != 0], "ascii")
-    for i in sorted(literals, reverse=True):
-        if len(literals[i]) > 15:  # the head of a 16-byte text goes in here
-            at = np.count_nonzero(text[:i])
-            out = out[:at] + literals[i][:-15] + out[at:]
+
+def _is_constant(column: np.ndarray) -> bool:
+    """Whether ``column`` holds one value, bit for bit, in two rows or more."""
+    bits = column.view(np.uint64)
+    return len(bits) > 1 and bits.item(0) == bits.item(-1) and not (bits != bits.item(0)).any()
+
+
+def _format_chunk(columns) -> str:
+    """CSV text of the rows of ``columns``, each field ``"%#.9g" % v``.
+
+    A NaN prints ``nan``, or nothing in the last (ratio) column.  A column
+    that is bitwise constant over the chunk is formatted once: ``values``
+    holds each varying column, then one value of each constant column.
+    """
+    rows = len(columns[0])
+    constant = [j for j, column in enumerate(columns) if _is_constant(column)]
+    varying = [j for j in range(len(columns)) if j not in constant]
+    values = np.concatenate([columns[j] for j in varying] + [columns[j][:1] for j in constant])
+    if constant[-1:] == [len(columns) - 1]:  # the ratio, the last column, is the last value
+        ratio = slice(len(values) - 1, len(values))
+    else:  # or the last varying block
+        ratio = slice((len(varying) - 1) * rows, len(varying) * rows)
+    words, literals = _field_words(values, ratio)
+
+    def in_rows(slots):
+        """``slots``, one per value, as the (rows, columns) grid they print in."""
+        grid = np.empty((len(columns), rows), slots.dtype)
+        grid[varying] = slots[:len(varying) * rows].reshape(-1, rows)
+        grid[constant] = slots[len(varying) * rows:, None]
+        return grid.T
+
+    heads = {i: text[:-15] for i, text in literals.items() if len(text) > 15}
+    if heads:  # a 16-character text: its first character goes in before the field
+        lengths = in_rows(np.count_nonzero(words.view(np.uint8).reshape(-1, 16), axis=1))
+        starts = (np.cumsum(lengths) - lengths.reshape(-1)).tolist()
+        slot = in_rows(np.arange(len(values))).reshape(-1)
+    grid = in_rows(words.view("V16").reshape(-1))
+    del words, values
+    data = grid.tobytes()
+    del grid
+    text = data.translate(None, b"\0")
+    del data
+    out = text.decode("ascii")
+    if heads:
+        pieces, at = [], 0
+        for field in np.flatnonzero(np.isin(slot, list(heads))).tolist():
+            pieces += [out[at:starts[field]], heads[slot[field]]]
+            at = starts[field]
+        out = "".join(pieces) + out[at:]
     return out
 
 
@@ -270,12 +345,11 @@ def _csv_text(grid: GridValues) -> Iterator[str]:
     """Yield the header, then the rows of ``_CHUNK_ROWS`` points at a time.
 
     A row is (q, theta, nu, mu, upsilon, eta, C, S, QFE, ratio) with a NaN
-    ratio blank; ``_format_chunk`` builds each chunk's text in one pass.
+    ratio blank; ``_format_chunk`` builds each chunk's text.
     """
     yield CSV_HEADER + "\n"
     for start in range(0, len(grid.q), _CHUNK_ROWS):
-        yield _format_chunk(np.column_stack([column[start:start + _CHUNK_ROWS]
-                                             for column in grid]))
+        yield _format_chunk([column[start:start + _CHUNK_ROWS] for column in grid])
 
 
 def _emit(pieces: Iterable[str], destination: str | None) -> None:

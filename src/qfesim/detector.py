@@ -144,6 +144,11 @@ def weights_grid(theta, nu, q):
     ValueError, and one whose weights miss that sum by more than 1e-12
     raises RuntimeError; both name the first such point.
     """
+    return _weights_and_sines(theta, nu, q)[:3]
+
+
+def _weights_and_sines(theta, nu, q):
+    """:func:`weights_grid`'s (mu, upsilon, eta), then the sin theta and cos theta they use."""
     theta, nu, q = (np.asarray(v, dtype=float) for v in (theta, nu, q))
     valid = np.isfinite(theta) & (nu >= 0.0) & (nu * nu < 1.0) & (q >= 0.0) & (q < 1.0)
     if not valid.all():
@@ -168,7 +173,7 @@ def weights_grid(theta, nu, q):
             f"weight normalization violated: 2*mu+upsilon+eta = "
             f"{float(np.ravel(total)[i])!r} at {_point_name(theta, nu, q, i)}"
         )
-    return mu, upsilon, eta
+    return mu, upsilon, eta, s, c
 
 
 def _x_state_real(theta, mu, upsilon, eta) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detector import JointState, _point_name, _x_state_real, weights_grid
+from .detector import JointState, _point_name, _weights_and_sines, _x_state_real
 from .qmatrix import (
     EigenDecomposition,
     _as_matrices,
@@ -84,10 +84,8 @@ def _entropy_bits(probabilities) -> np.ndarray:
     return 0.0 - (p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
-def _x_concurrence(theta, mu, upsilon, eta):
-    """max(0, 2 mu |sin 2theta| - 2 sqrt(eta upsilon)), clamped to [0, 1]."""
-    s = np.sin(theta)
-    c = np.cos(theta)
+def _x_concurrence(s, c, mu, upsilon, eta):
+    """max(0, 2 mu |sin 2theta| - 2 sqrt(eta upsilon)), clamped to [0, 1]; s, c = sin, cos theta."""
     value = 2.0 * mu * np.abs(2.0 * s * c) - 2.0 * np.sqrt(eta * upsilon)
     return np.minimum(1.0, np.maximum(0.0, value))
 
@@ -128,8 +126,8 @@ def evaluate_grid(theta, nu, q, *, cross_check: bool = False) -> GridValues:
     """
     points = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (theta, nu, q)))
     theta, nu, q = (np.ravel(v) for v in points)
-    mu, upsilon, eta = weights_grid(theta, nu, q)
-    c = _x_concurrence(theta, mu, upsilon, eta)
+    mu, upsilon, eta, sin, cos = _weights_and_sines(theta, nu, q)
+    c = _x_concurrence(sin, cos, mu, upsilon, eta)
     entropy = _entropy_bits(np.stack((2.0 * mu, eta, upsilon), axis=-1))
     qfe, ratio = _qfe_and_ratio(c)
     grid = GridValues(q, theta, nu, mu, upsilon, eta, c, entropy, qfe, ratio)
@@ -259,7 +257,8 @@ def concurrence_analytic(state: JointState) -> float:
     {2 mu |sin 2theta|, sqrt(eta upsilon), sqrt(eta upsilon), 0}, so
     C = max(0, 2 mu |sin 2theta| - 2 sqrt(eta upsilon)).
     """
-    return float(_x_concurrence(state.params.theta, state.mu, state.upsilon, state.eta))
+    theta = state.params.theta
+    return float(_x_concurrence(np.sin(theta), np.cos(theta), state.mu, state.upsilon, state.eta))
 
 
 def analytic_eigenvalues(state: JointState) -> np.ndarray:

@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .detector import DetectorParams, weights_grid
+from .detector import DetectorParams, _weights_and_sines
 from .measures import (
     GridValues,
     _qfe_and_ratio,
@@ -182,8 +182,8 @@ def golden_section_max(
 def _qfe_at(fixed: DetectorParams, variable: str, x: float) -> float:
     """Closed-form fluctuation at one point, with the arithmetic of evaluate_grid."""
     theta, nu, q = _along(fixed, variable, float(x))
-    mu, upsilon, eta = weights_grid(theta, nu, q)
-    return float(_qfe_and_ratio(_x_concurrence(theta, mu, upsilon, eta))[0])
+    mu, upsilon, eta, sin, cos = _weights_and_sines(theta, nu, q)
+    return float(_qfe_and_ratio(_x_concurrence(sin, cos, mu, upsilon, eta))[0])
 
 
 def find_qfe_peak(

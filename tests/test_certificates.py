@@ -18,7 +18,7 @@ import numpy as np
 import sympy as sp
 
 from qfesim import measures
-from qfesim.detector import weights_grid, x_state_rho
+from qfesim.detector import accel_to_q, weights_grid, x_state_rho
 
 s, c, mu, upsilon, eta, lam = sp.symbols("s c mu upsilon eta lambda")
 
@@ -138,6 +138,57 @@ def test_sudden_death_point_is_independent_of_theta():
         assert grid.concurrence[0] > 0.0 and grid.concurrence[1] == 0.0
 
 
+# --- the weights as a thermal channel on detector B ------------------------------------
+
+
+def test_weights_are_the_normalized_output_of_a_thermal_channel():
+    # rho~ = |psi><psi| + nu^2 (1 + nbar) s^2 |00><00| + nu^2 nbar c^2 |11><11|, with
+    # psi = s|0_A 1_B> + c|1_A 0_B> and the Planck occupation nbar = q / (1 - q):
+    # rho~ / tr rho~ is x_state_rho of weights_grid's weights, entry by entry
+    nbar = x**2 / (1 - x**2)
+    psi = sp.Matrix([0, sp_, cp, 0])
+    tilde = (psi * psi.T + sp.diag(n * (1 + nbar) * sp_**2, 0, 0, 0)
+             + sp.diag(0, 0, 0, n * nbar * cp**2))
+    mu_, upsilon_, eta_ = _weights(DENOMINATOR)
+    target = RHO.subs({s: sp_, c: cp, mu: mu_, upsilon: upsilon_, eta: eta_})
+    for entry, want in zip(tilde / tilde.trace(), target):
+        numerator = sp.expand(sp.numer(sp.together(entry - want)))
+        assert sp.rem(numerator, cp**2 + sp_**2 - 1, cp) == 0
+    # the code's state, built from the channel in float64 and not through weights_grid
+    rng = np.random.default_rng(5)
+    theta, nu, q = (rng.uniform(0.0, hi, 2000) for hi in (math.pi, 0.999, 0.9999))
+    sin, cos, nn = np.sin(theta), np.cos(theta), nu * nu
+    channel = np.zeros((2000, 4, 4))
+    channel[:, 0, 0] = nn * (1 + q / (1 - q)) * sin**2
+    channel[:, 1, 1], channel[:, 2, 2] = sin**2, cos**2
+    channel[:, 1, 2] = channel[:, 2, 1] = sin * cos
+    channel[:, 3, 3] = nn * q / (1 - q) * cos**2
+    channel /= np.trace(channel, axis1=1, axis2=2)[:, None, None]
+    code = x_state_rho(theta, *weights_grid(theta, nu, q))
+    assert not code.imag.any()
+    np.testing.assert_allclose(code.real, channel, rtol=0.0, atol=2e-15)
+
+
+def test_planck_occupation_at_the_unruh_temperature_gives_the_weights_factors():
+    # nbar = 1 / (e^{2 pi omega / a} - 1) and q = e^{-2 pi omega / a}: nu^2 (1 + nbar) =
+    # nu^2 / (1 - q) and nu^2 nbar = nu^2 q / (1 - q), and excitation over
+    # de-excitation, nbar / (1 + nbar), is q (detailed balance)
+    w = sp.symbols("w", positive=True)  # 2 pi omega / a
+    q_, nbar = sp.exp(-w), 1 / (sp.exp(w) - 1)
+    assert sp.simplify(n * (1 + nbar) - n / (1 - q_)) == 0
+    assert sp.simplify(n * nbar - n * q_ / (1 - q_)) == 0
+    assert sp.simplify(nbar / (1 + nbar) - q_) == 0
+    # the code's q of (omega, accel), and its weights: upsilon / c^2 over eta / s^2 is q
+    omega, accel, theta, nu = 1.0, 3.0, 0.6, 0.3
+    q = accel_to_q(omega, accel)
+    assert abs(q - math.exp(-2.0 * math.pi * omega / accel)) <= 1e-16
+    occupation = 1.0 / math.expm1(2.0 * math.pi * omega / accel)
+    assert abs(occupation - q / (1.0 - q)) <= 1e-15
+    _, upsilon_, eta_ = (float(v) for v in weights_grid(theta, nu, q))
+    balance = (upsilon_ / math.cos(theta) ** 2) / (eta_ / math.sin(theta) ** 2)
+    assert abs(balance - q) <= 1e-15
+
+
 # --- the universal maximum of QFE = f(C) -------------------------------------------
 
 C_STAR = "0.55243412453088321725"
@@ -202,3 +253,73 @@ def test_the_ratio_decreases_in_c_and_diverges_like_log2_2_over_c():
     assert (np.diff(code_ratio) < 0.0).all() and code_ratio[-1] == 0.0
     gap = code_ratio - np.log2(2.0 / concurrence)  # exactly log2((1 + sqrt(1 - C^2)) / 2) <= 0
     assert (gap <= 1e-14).all() and np.abs(gap[concurrence <= 1e-7]).max() <= 1e-14
+
+
+# --- the abstract's "QFE first increases by the Unruh thermal noise" ---------------
+
+
+def _q0_concurrence(theta, nu):
+    """C(theta, nu, q = 0) = sin 2theta / (1 + nu^2 sin^2 theta) in mpmath."""
+    return mpmath.sin(2 * theta) / (1 + nu * nu * mpmath.sin(theta) ** 2)
+
+
+def test_qfe_first_rises_in_q_exactly_where_the_initial_concurrence_exceeds_c_star():
+    # C strictly decreases in q (test_concurrence_strictly_decreases_in_q) and f(C)
+    # rises below C* and falls above it (test_universal_maximum_of_the_fluctuation),
+    # so QFE = f(C) first rises in q exactly when C(theta, nu, 0) > C*; at nu = 0.05
+    # that is theta in (0.29270977, 1.27739601), the roots of C(theta, nu, 0) = C*
+    bounds = (0.29270977, 1.27739601)
+    with mpmath.workdps(30):
+        nu = mpmath.mpf("0.05")
+        for bound in bounds:
+            root = mpmath.findroot(lambda t: _q0_concurrence(t, nu) - mpmath.mpf(C_STAR), bound)
+            assert abs(root - mpmath.mpf(repr(bound))) < mpmath.mpf("5e-9")
+    # the code's q = 0 concurrence on both sides of each bound
+    low, high = bounds
+    inside = np.array([low + 1e-7, high - 1e-7])
+    outside = np.array([low - 1e-7, high + 1e-7])
+    assert (measures.evaluate_grid(inside, 0.05, 0.0).concurrence > float(C_STAR)).all()
+    assert (measures.evaluate_grid(outside, 0.05, 0.0).concurrence < float(C_STAR)).all()
+    # and its QFE: rising at the first step of q inside the interval, falling outside
+    for theta, rises in ((0.2, False), (low + 0.01, True), (math.pi / 4, True),
+                         (high - 0.01, True), (1.4, False)):
+        qfe = measures.evaluate_grid(theta, 0.05, np.array([0.0, 1e-3])).qfe
+        assert (qfe[1] > qfe[0]) == rises
+
+
+# --- the abstract's "the initial QFE is minimum with the maximally entangled state" --
+
+
+def test_initial_concurrence_peaks_at_pi_over_4_minus_nu_squared_over_4():
+    # at q = 0, C = sin 2theta / (1 + nu^2 sin^2 theta) > C*, where f(C) falls, so the
+    # maximum of C is the local minimum of the initial QFE; it sits at
+    # theta* = pi/4 - nu^2 / 4 + O(nu^4)
+    theta, a = sp.symbols("theta a")
+    assert sp.simplify(CONCURRENCE.subs(x, 0).subs({sp_: sp.sin(theta), cp: sp.cos(theta)})
+                       - sp.sin(2 * theta) / (1 + n * sp.sin(theta) ** 2)) == 0
+    slope = sp.diff(sp.sin(2 * theta) / (1 + n * sp.sin(theta) ** 2), theta)
+    series = sp.series(slope.subs(theta, sp.pi / 4 + a * n), n, 0, 2).removeO()
+    assert sp.simplify(series.coeff(n, 0)) == 0
+    assert sp.solve(series.coeff(n, 1), a) == [-sp.Rational(1, 4)]
+    # mpmath: the maximum sits at pi/4 - 6.242e-4 for nu = 0.05 and pi/4 - 2.488e-3 for
+    # nu = 0.1; QFE(pi/4) exceeds the minimum by 2.2e-5 at nu = 0.05
+    with mpmath.workdps(30):
+        def f(value):
+            return value * mpmath.log((1 + mpmath.sqrt(1 - value * value)) / value, 2)
+
+        peaks = {}
+        for nu, shift in (("0.05", "6.242e-4"), ("0.1", "2.488e-3")):
+            peak = mpmath.findroot(
+                lambda t: mpmath.diff(lambda u: _q0_concurrence(u, mpmath.mpf(nu)), t),
+                mpmath.pi / 4)
+            assert mpmath.nstr(mpmath.pi / 4 - peak, 4, min_fixed=0, max_fixed=0) == shift
+            peaks[nu] = peak
+        nu = mpmath.mpf("0.05")
+        excess = f(_q0_concurrence(mpmath.pi / 4, nu)) - f(_q0_concurrence(peaks["0.05"], nu))
+        assert mpmath.nstr(excess, 2, min_fixed=0, max_fixed=0) == "2.2e-5"
+    # the code: C is largest, and QFE smallest, at theta* among its neighbours
+    for nu, peak in peaks.items():
+        thetas = float(peak) + np.array([-1e-3, 0.0, 1e-3])
+        grid = measures.evaluate_grid(thetas, float(nu), 0.0)
+        assert grid.concurrence[1] > grid.concurrence[[0, 2]].max()
+        assert grid.qfe[1] < grid.qfe[[0, 2]].min()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qfesim import cli
 from qfesim.measures import GridValues, evaluate_grid
-from qfesim.sweep import figure_preset, run_sweep
+from qfesim.sweep import figure_preset, run_sweep, sweep_grid
 
 C_WORKED = 0.9927416847761567
 QFE_WORKED = 0.1730857541653741
@@ -411,7 +411,8 @@ POOL = (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 9.99999999e-05, 1e-
           for x in (10.0**j, np.nextafter(10.0**j, 0.0), np.nextafter(10.0**j, math.inf))),
         961425.5485, 50.76087415, 2.007809635e-08, 8.471448545e-07, 3.859702565,
         *(float(f"{n}5e-{j + 1}") for n in (100000000, 123456789, 999999999)
-          for j in range(0, 23, 2)))
+          for j in range(0, 23, 2)),
+        -1.5e200, 0.99999999995, -123456.789)  # a 16-character text, a carry, moving digits
 KINDS = ("constant", "per_chunk", "last_row", "edges", "random", "signed_zeros")
 
 
@@ -461,7 +462,15 @@ def written(grid) -> tuple[str, str]:
             return stdout.getvalue(), handle.read().decode("ascii")
 
 
-NAN, ONE, MINUS_ZERO = POOL.index(math.nan), POOL.index(1.0), POOL.index(-0.0)
+def pool_index(value) -> int:
+    """The index of ``value`` in POOL, bit for bit: ``POOL.index(-0.0)`` finds 0.0."""
+    bits = np.float64(value).view(np.uint64)
+    return next(i for i, v in enumerate(POOL) if np.float64(v).view(np.uint64) == bits)
+
+
+NAN, ONE, MINUS_ZERO, TENTH, INF, NEAR_TIE, LONG, CARRY, LARGE = (
+    pool_index(v) for v in (math.nan, 1.0, -0.0, 0.1, math.inf, 9.9999999995e-05, -1.5e200,
+                            0.99999999995, -123456.789))
 PLANS = st.tuples(
     st.sampled_from(ROW_COUNTS),
     st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, len(POOL) - 1),
@@ -478,6 +487,23 @@ PLANS = st.tuples(
 @example(plan=(CHUNK + 1, [("per_chunk", ONE, ONE)] * 9 + [("constant", NAN, NAN)], 3))
 @example(plan=(CHUNK, [("last_row", ONE, MINUS_ZERO)] * 9 + [("random", NAN, NAN)], 4))
 @example(plan=(CHUNK - 1, [("signed_zeros", ONE, ONE)] * 9 + [("last_row", ONE, NAN)], 5))
+# columns that are constant in a chunk, formatted once, beside plain varying
+# ones: texts of their own, a near-tie and a carry to the next power of ten,
+# 16-character texts in every row, -0.0, NaN after and before the ratio, and
+# digits that move around the point
+@example(plan=(CHUNK + 1, [("constant", INF, ONE)] * 3 + [("edges", ONE, TENTH)] * 6
+               + [("constant", INF, ONE)], 6))
+@example(plan=(CHUNK, [("edges", ONE, TENTH)] * 4 + [("constant", NEAR_TIE, ONE)] * 3
+               + [("constant", CARRY, ONE)] * 3, 7))
+@example(plan=(2 * CHUNK + 1, [("constant", LONG, ONE), ("last_row", ONE, LONG)]
+               + [("edges", ONE, TENTH)] * 7 + [("constant", LONG, ONE)], 8))
+@example(plan=(CHUNK - 1, [("constant", MINUS_ZERO, ONE)] * 4 + [("edges", ONE, TENTH)] * 5
+               + [("constant", MINUS_ZERO, ONE)], 9))
+@example(plan=(CHUNK + 1, [("constant", NAN, ONE)] * 5 + [("edges", ONE, TENTH)] * 4
+               + [("edges", ONE, NAN)], 10))
+@example(plan=(CHUNK, [("edges", ONE, TENTH)] * 3 + [("constant", NAN, ONE)] * 7, 11))
+@example(plan=(CHUNK + 1, [("constant", LARGE, ONE), ("edges", ONE, LARGE)]
+               + [("edges", ONE, TENTH)] * 8, 12))
 def test_write_csv_matches_the_per_row_writer(plan):
     grid = plan_grid(plan)
     expected = reference_csv(grid)
@@ -522,6 +548,21 @@ def test_write_csv_streams_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert peak <= 4 * 2**20
     assert destination.read_bytes().count(b"\n") == 1 + 200_000
+
+
+def test_one_fig1_chunk_peaks_below_700_kib():
+    # what formatting one chunk holds at once (about 550 KiB), so that the
+    # writer's speed is not bought with memory
+    grid = sweep_grid(figure_preset("fig1"))
+    chunk = GridValues(*(column[:CHUNK] for column in grid))
+    tracemalloc.start()
+    try:
+        text = "".join(cli._csv_text(chunk))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 700 * 1024
+    assert text.count("\n") == 1 + CHUNK
 
 
 @pytest.mark.parametrize("argv, flag, value", [
