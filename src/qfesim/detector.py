@@ -37,15 +37,6 @@ def accel_to_q(omega: float, accel: float) -> float:
     return math.exp(-2.0 * math.pi * omega / accel)
 
 
-def q_to_accel(omega: float, q: float) -> float:
-    """Proper acceleration recovered from q; inverse of :func:`accel_to_q`."""
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1) to recover an acceleration, got {q}")
-    return 2.0 * math.pi * omega / (-math.log(q))
-
-
 def coupling_nu(epsilon: float, omega: float, delta: float, kappa: float) -> float:
     """Effective coupling nu = sqrt(eps**2 omega delta / (2 pi) * exp(-omega**2 kappa**2)).
 
@@ -93,8 +84,8 @@ class DetectorParams:
             )
         for name in ("omega", "accel", "delta"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         q = self.q
         if self.omega is not None and self.accel is not None:
             derived = accel_to_q(self.omega, self.accel)

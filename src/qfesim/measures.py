@@ -6,22 +6,21 @@ Two routes to the measures are kept deliberately separate:
   :mod:`qfesim.detector`, evaluated for a whole grid of points at once by
   :func:`evaluate_grid` (:func:`concurrence_analytic` is the one-state
   form);
-* the generic matrix route: :func:`concurrence_numeric` runs the spin-flip
-  construction C = max(0, r1 - r2 - r3 - r4) with r_i the descending
-  eigenvalues of R = sqrt(sqrt(rho) rho~ sqrt(rho)),
-  rho~ = (sy x sy) conj(rho) (sy x sy), and :func:`von_neumann_entropy`
-  takes the entropy of a Jacobi spectrum.  :func:`wootters_spectrum` also
-  takes a stack of states.  Every state of this route is validated and
-  solved once, by :func:`qfesim.qmatrix.density_eigen`, its
-  eigenvalues-only twin or their private forms, which keep a real
-  state's eigenvectors in float64.
+* one matrix route, :func:`oracle_deviations`.  It rebuilds the states in
+  float64, 1,024 at a time, validates and solves each chunk's distinct
+  states once (a run of bitwise identical neighbours is one state) through
+  the private form of :func:`qfesim.qmatrix.density_eigen`, takes the
+  entropy of that Jacobi spectrum, and runs the spin-flip construction
+  C = max(0, r1 - r2 - r3 - r4), with r_i the descending eigenvalues of
+  R = sqrt(sqrt(rho) rho~ sqrt(rho)) and
+  rho~ = (sy x sy) conj(rho) (sy x sy), on the float64 eigenvectors.  That
+  is two batched Jacobi solves per chunk, so at most two solved matrices
+  per point.
 
 The two must agree to 1e-9; ``evaluate_grid(..., cross_check=True)``
-enforces that per point for the concurrence and the entropy.  The check
-(:func:`oracle_deviations`) rebuilds the states in float64, 1,024 at a
-time, and solves each run of bitwise identical neighbours once: each
-chunk's distinct states are validated once and take two batched Jacobi
-solves, so at most two solved matrices per point.
+enforces that per point for the concurrence and the entropy.  The
+pure-state helpers and :func:`von_neumann_entropy` validate their input
+through :func:`qfesim.qmatrix.density_eigenvalues`.
 Entropies and fluctuations are in bits.
 """
 
@@ -36,9 +35,7 @@ from .detector import JointState, _point_name, _weights_and_sines, _x_state_real
 from .qmatrix import (
     EigenDecomposition,
     _as_matrices,
-    _density_solve,
     _density_spectrum,
-    _reduced_state,
     density_eigenvalues,
     hermitian_eigenvalues,
 )
@@ -193,61 +190,22 @@ def _run_starts(stack: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, blocks[1:] != blocks[:-1]])
 
 
-def wootters_spectrum(rho) -> np.ndarray:
-    """Descending eigenvalues r_i of R = sqrt(sqrt(rho) rho~ sqrt(rho)).
-
-    ``rho`` is one 4x4 state, giving shape (4,), or a stack, giving (N, 4).
-    It is validated as a density matrix (Hermitian, unit trace, spectrum
-    above the PSD floor); the r_i are the singular values of
-    tau = W^T (sy x sy) W with rho = W W+ (see ``_spin_flip``).
-    """
-    m, eig = _density_solve(rho)
-    if m.shape[-1] != 4:
-        raise ValueError("the spin-flip spectrum is defined for 4x4 density matrices")
-    return _spin_flip(eig).reshape(m.shape[:-1])
-
-
 def _spin_flip(eig: EigenDecomposition) -> np.ndarray:
-    """Descending r_i, shape (N, 4), of a validated stack rho = V diag(p) V+.
+    """Descending r_i, shape (N, 4), of a validated stack rho = V diag(p) V+ with float64 V.
 
     W = V diag(sqrt p) gives rho = W W+.  The r_i are the singular values
     of tau = W^T (sy x sy) W, since tau+ tau is similar to rho rho~.  A
-    real W (every detector state) gives a real symmetric tau, formed and
-    solved in real arithmetic for its eigenvalues only, and r_i are their
-    moduli, so nothing is squared and small r_i keep their relative
-    accuracy.  Float64 eigenvectors make the whole stack real; otherwise
-    the real W are found row by row, and the states with a complex W fall
-    back to sqrt(eig(tau+ tau)), solved as a second stack.
+    real W gives a real symmetric tau, formed and solved in real
+    arithmetic for its eigenvalues only, and r_i are their moduli, so
+    nothing is squared and small r_i keep their relative accuracy.
     """
     p, vecs = eig
-    scale = np.sqrt(np.maximum(p, 0.0))[:, None, :]
-    if not np.iscomplexobj(vecs):
-        return -np.sort(-_real_tau_moduli(vecs * scale), axis=1)
-    r = np.empty(p.shape)
-    complex_w = vecs.imag.any(axis=(1, 2))
-    real_w = ~complex_w
-    if real_w.any():
-        r[real_w] = _real_tau_moduli(vecs.real[real_w] * scale[real_w])
-    if complex_w.any():
-        w = vecs[complex_w] * scale[complex_w]
-        tau = w.swapaxes(1, 2) @ FLIP_OPERATOR @ w
-        squares = hermitian_eigenvalues(tau.conj().swapaxes(1, 2) @ tau)
-        r[complex_w] = np.sqrt(np.maximum(squares, 0.0))
-    return -np.sort(-r, axis=1)
-
-
-def _real_tau_moduli(w: np.ndarray) -> np.ndarray:
-    """|eigenvalues| of the real symmetric tau = W^T (sy x sy) W of a float64 stack W."""
-    return np.abs(hermitian_eigenvalues(w.swapaxes(1, 2) @ _REAL_FLIP @ w))
+    w = vecs * np.sqrt(np.maximum(p, 0.0))[:, None, :]
+    return -np.sort(-np.abs(hermitian_eigenvalues(w.swapaxes(1, 2) @ _REAL_FLIP @ w)), axis=1)
 
 
 def _wootters_concurrence(r):
     return np.clip(r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3], 0.0, 1.0)
-
-
-def concurrence_numeric(rho) -> float:
-    """Concurrence from the spin-flip spectrum, clamped to [0, 1]."""
-    return float(_wootters_concurrence(wootters_spectrum(rho)))
 
 
 def concurrence_analytic(state: JointState) -> float:
@@ -261,26 +219,22 @@ def concurrence_analytic(state: JointState) -> float:
     return float(_x_concurrence(np.sin(theta), np.cos(theta), state.mu, state.upsilon, state.eta))
 
 
-def analytic_eigenvalues(state: JointState) -> np.ndarray:
-    """Spectrum of rho @ rho~ implied by the X-state structure, descending.
-
-    Returns {4 mu^2 sin^2(2 theta), eta*upsilon, eta*upsilon, 0} sorted;
-    must match the squared numeric spin-flip spectrum to 1e-10.
-    """
-    return _x_spin_flip_squares(state.params.theta, state.mu, state.upsilon, state.eta)
-
-
 def _pure_reduced_state(psi_rho, tolerance: float) -> np.ndarray:
-    """Reduced state of subsystem A of a state checked once, as a density matrix and as pure.
+    """Reduced state of subsystem A of one 4x4 state, checked as a density matrix and as pure.
 
-    It keeps the state's dtype: a real state gives a float64 reduced state.
+    The state is read in the product basis |0_A 0_B>, |0_A 1_B>, |1_A 0_B>,
+    |1_A 1_B>, and B is traced out.  It keeps the state's dtype: a real
+    state gives a float64 reduced state.
     """
-    w = density_eigenvalues(psi_rho)
+    m = _as_matrices(psi_rho)
+    if m.shape != (4, 4):
+        raise ValueError(f"a two-qubit state is one 4x4 density matrix, got shape {m.shape}")
+    w = density_eigenvalues(m)
     if w[0] < 1.0 - tolerance:
         raise ValueError(
             f"state is not pure within {tolerance:g}: largest eigenvalue {w[0]!r}"
         )
-    return _reduced_state(_as_matrices(psi_rho), "A")
+    return np.einsum("abcb->ac", m.reshape(2, 2, 2, 2))
 
 
 def pure_concurrence(psi_rho, tolerance: float = _DEFAULT_PURITY_TOL) -> float:

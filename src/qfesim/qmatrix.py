@@ -10,7 +10,9 @@ Hermitian to within 1e-12, of unit trace to within 1e-12, and have
 eigenvalues above -1e-10 (anything in [-1e-10, 0) counts as roundoff).
 :func:`density_eigen` and its eigenvalues-only twin are the one place
 that rule is applied together with the solve, and the solve does not
-check the matrix again; :func:`partial_trace` checks the first three only.
+check the matrix again.  The one matrix route,
+:func:`qfesim.measures.oracle_deviations`, validates and solves its float64
+stacks of states through their private form, ``_density_spectrum``.
 """
 
 from __future__ import annotations
@@ -187,30 +189,6 @@ def density_eigenvalues(rho) -> np.ndarray:
     """
     m, eig = _density_solve(rho, vectors=False)
     return eig.eigenvalues if m.ndim == 3 else eig.eigenvalues[0]
-
-
-def partial_trace(rho, subsystem: str) -> np.ndarray:
-    """Reduced 2x2 state of the kept subsystem of a two-qubit density matrix.
-
-    ``subsystem`` names the part to keep ("A" or "B"); the 4x4 input is read
-    in the product basis |0_A 0_B>, |0_A 1_B>, |1_A 0_B>, |1_A 1_B>.  The
-    trace of the input is preserved.
-    """
-    m = _as_matrices(rho)
-    _reject(m, _density_fault(m.reshape(-1, *m.shape[-2:])))
-    return _reduced_state(m, subsystem).astype(np.complex128, copy=False)
-
-
-def _reduced_state(m: np.ndarray, subsystem: str) -> np.ndarray:
-    """:func:`partial_trace` of matrices ``m`` already checked, in their own dtype."""
-    if m.shape != (4, 4):
-        raise ValueError("partial_trace expects a 4x4 density matrix")
-    if subsystem not in ("A", "B"):
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    r = m.reshape(2, 2, 2, 2)
-    if subsystem == "A":
-        return np.einsum("abcb->ac", r)
-    return np.einsum("abad->bd", r)
 
 
 def _mix(x, y, c, sigma) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -159,14 +158,23 @@ def golden_section_max(
 
     Shrinks the bracket to ``tol`` and returns (location, value) at the
     bracket midpoint; one function evaluation is reused per iteration.
+    The bounds must be finite with lo < hi, and ``tol`` finite and positive.
+    A bracket that no longer shrinks in floating point (``tol`` below the
+    spacing of the doubles it holds) ends the search there.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"golden section needs finite bounds, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"golden section needs lo < hi, got [{lo}, {hi}]")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"golden section needs a finite tol > 0, got {tol}")
     a, b = float(lo), float(hi)
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = func(c), func(d)
-    while (b - a) > tol:
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -192,9 +200,7 @@ def find_qfe_peak(
     """Locate the fluctuation maximum over ``bracket`` for the swept variable.
 
     A 2000-point coarse scan seeds a golden-section refinement to an
-    absolute location tolerance of 1e-8.  A profile that is not unimodal
-    (some coarse sample beating the returned value by more than 1e-9) is
-    reported as a RuntimeWarning diagnostic.
+    absolute location tolerance of 1e-8.
     """
     if variable not in ("q", "theta"):
         raise ValueError(f"variable must be 'q' or 'theta', got {variable!r}")
@@ -216,12 +222,6 @@ def find_qfe_peak(
     )
     if vals[i] > v:
         x, v = float(xs[i]), float(vals[i])
-    if np.any(vals > v + 1e-9):
-        warnings.warn(
-            "fluctuation profile is not unimodal over the bracket; "
-            "returned peak is the best local refinement",
-            RuntimeWarning,
-        )
     return PeakResult(location=x, value=v, bracket=(bracket_lo, bracket_hi))
 
 

@@ -305,6 +305,19 @@ def test_omega_and_accel_come_together(capsys, given, missing):
     assert f"--{given} needs --{missing}" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--omega", "inf", "--accel", "1"], "omega must be finite and positive, got inf"),
+    (["--omega", "1", "--accel", "inf"], "accel must be finite and positive, got inf"),
+    (["--omega", "nan", "--accel", "1"], "omega must be finite and positive, got nan"),
+    (["--omega", "0", "--accel", "1"], "omega must be finite and positive, got 0.0"),
+])
+def test_omega_and_accel_must_be_finite_and_positive(argv, message, capsys):
+    # --omega inf once printed a q = 0 row and exited 0
+    code = cli.main(["state"] + argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_steps_cap(capsys):
     # rejected by validation before any grid is built
     code = cli.main(["sweep", "--variable", "q", "--min", "0", "--max", "0.5",

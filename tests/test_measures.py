@@ -5,6 +5,7 @@ import pytest
 
 from qfesim import measures
 from qfesim.detector import DetectorParams, build_final_state
+from qfesim.qmatrix import _density_spectrum
 
 # frozen from high-precision evaluation of the closed forms
 C_WORKED = 0.9927416847761567        # (800 - 2*sqrt(2)) / 803
@@ -41,6 +42,24 @@ def concurrence_reference(rho):
     return max(0.0, r[0] - r[1] - r[2] - r[3])
 
 
+def matrix_route_spectrum(rho):
+    # the oracle's route: _spin_flip on the float64 eigenvectors of a validated float64 stack
+    rho = np.asarray(rho)
+    assert not np.iscomplexobj(rho) or not rho.imag.any()
+    eig, fault = _density_spectrum(np.ascontiguousarray(rho.real).reshape(-1, 4, 4))
+    assert fault is None and eig.eigenvectors.dtype == np.float64
+    return measures._spin_flip(eig)
+
+
+def matrix_route_concurrence(rho):
+    return float(measures._wootters_concurrence(matrix_route_spectrum(rho))[0])
+
+
+def analytic_eigenvalues(state):
+    # the closed-form squared spin-flip spectrum that oracle_deviations compares against
+    return measures._x_spin_flip_squares(state.params.theta, state.mu, state.upsilon, state.eta)
+
+
 def random_x_state(rng):
     # diagonal (a, b, c, d) with coherences bounded to keep positivity
     a, b, c, d = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
@@ -53,7 +72,7 @@ def random_x_state(rng):
 
 
 def test_concurrence_numeric_bell():
-    assert abs(measures.concurrence_numeric(bell_rho()) - 1.0) <= 1e-12
+    assert abs(matrix_route_concurrence(bell_rho()) - 1.0) <= 1e-12
 
 
 def test_concurrence_numeric_product_states():
@@ -61,15 +80,15 @@ def test_concurrence_numeric_product_states():
     # that mostly cancels in the alternating sum; 2e-8 bounds the remainder
     rng = np.random.default_rng(21)
     for _ in range(20):
-        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        a = rng.standard_normal(2)
+        b = rng.standard_normal(2)
         psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-        rho = np.outer(psi, psi.conj())
-        assert measures.concurrence_numeric(rho) <= 2e-8
+        rho = np.outer(psi, psi)
+        assert matrix_route_concurrence(rho) <= 2e-8
 
 
 def test_concurrence_numeric_worked_point():
-    value = measures.concurrence_numeric(worked_state().rho)
+    value = matrix_route_concurrence(worked_state().rho)
     assert abs(value - C_WORKED) <= 1e-12
     assert abs(value - concurrence_reference(worked_state().rho)) <= 1e-9
 
@@ -78,17 +97,18 @@ def test_concurrence_numeric_random_x_states():
     rng = np.random.default_rng(22)
     for _ in range(50):
         rho = random_x_state(rng)
-        got = measures.concurrence_numeric(rho)
+        got = matrix_route_concurrence(rho)
         assert abs(got - concurrence_reference(rho)) <= 1e-9
 
 
 def test_concurrence_numeric_rejects_non_density():
+    grid = measures.evaluate_grid(0.6, 0.05, 0.5)
     with pytest.raises(ValueError, match="unit trace"):
-        measures.concurrence_numeric(np.eye(4))
+        measures.oracle_deviations(grid._replace(eta=grid.eta + 1e-6))
 
 
 def test_wootters_spectrum_worked_point():
-    r = measures.wootters_spectrum(worked_state().rho)
+    r = matrix_route_spectrum(worked_state().rho)[0]
     expected = [math.sqrt(LAMBDA_BIG), math.sqrt(ETA_UPSILON), math.sqrt(ETA_UPSILON), 0.0]
     np.testing.assert_allclose(r, expected, atol=1e-12)
 
@@ -108,18 +128,18 @@ def test_concurrence_sudden_death():
     state = build_final_state(DetectorParams(theta=math.pi / 4, nu=0.3, q=0.99))
     assert state.eta > 0.0 and state.upsilon > 0.0
     assert measures.concurrence_analytic(state) == 0.0
-    assert measures.concurrence_numeric(state.rho) == 0.0
+    assert matrix_route_concurrence(state.rho) == 0.0
 
 
 def test_analytic_eigenvalues_worked_point():
-    lam = measures.analytic_eigenvalues(worked_state())
+    lam = analytic_eigenvalues(worked_state())
     np.testing.assert_allclose(lam, [LAMBDA_BIG, ETA_UPSILON, ETA_UPSILON, 0.0], atol=1e-15)
 
 
 def test_analytic_eigenvalues_uncoupled():
     for theta in (0.3, 1.1):
         state = build_final_state(DetectorParams(theta=theta, nu=0.0, q=0.0))
-        lam = measures.analytic_eigenvalues(state)
+        lam = analytic_eigenvalues(state)
         np.testing.assert_allclose(
             lam, [math.sin(2 * theta) ** 2, 0.0, 0.0, 0.0], atol=1e-14
         )
@@ -127,16 +147,16 @@ def test_analytic_eigenvalues_uncoupled():
 
 def test_analytic_eigenvalues_theta_zero():
     state = build_final_state(DetectorParams(theta=0.0, nu=0.1, q=0.5))
-    np.testing.assert_array_equal(measures.analytic_eigenvalues(state), np.zeros(4))
+    np.testing.assert_array_equal(analytic_eigenvalues(state), np.zeros(4))
 
 
 def test_analytic_eigenvalues_match_spectrum():
     for theta in np.linspace(0.1, 1.5, 5):
         for q in (0.0, 0.4, 0.9):
             state = build_final_state(DetectorParams(theta=float(theta), nu=0.1, q=q))
-            numeric = measures.wootters_spectrum(state.rho) ** 2
+            numeric = matrix_route_spectrum(state.rho)[0] ** 2
             np.testing.assert_allclose(
-                measures.analytic_eigenvalues(state), numeric, atol=1e-10
+                analytic_eigenvalues(state), numeric, atol=1e-10
             )
 
 
@@ -153,7 +173,7 @@ def test_pure_concurrence_separable():
 def test_pure_concurrence_partial_entanglement():
     got = measures.pure_concurrence(pure_rho(math.pi / 5))
     assert abs(got - SIN_2PI_5) <= 1e-12
-    assert abs(got - measures.concurrence_numeric(pure_rho(math.pi / 5))) <= 1e-9
+    assert abs(got - matrix_route_concurrence(pure_rho(math.pi / 5))) <= 1e-9
 
 
 def test_pure_concurrence_rejects_mixed():
@@ -217,13 +237,12 @@ def test_entanglement_entropy_partial():
 
 
 def test_entanglement_entropy_side_symmetric():
-    from qfesim.qmatrix import partial_trace
-
     for theta in np.linspace(0.0, math.pi / 2, 21):
         rho = pure_rho(float(theta))
-        ent_a = measures.von_neumann_entropy(partial_trace(rho, "A"))
-        ent_b = measures.von_neumann_entropy(partial_trace(rho, "B"))
-        assert abs(ent_a - ent_b) <= 1e-10
+        r = rho.reshape(2, 2, 2, 2)
+        reduced_b = r[0, :, 0, :] + r[1, :, 1, :]  # trace out A
+        ent_b = measures.von_neumann_entropy(reduced_b)
+        assert abs(measures.entanglement_entropy_pure(rho) - ent_b) <= 1e-10
 
 
 def test_qfe_endpoints():
@@ -323,7 +342,7 @@ def test_evaluate_grid_matches_matrix_route(theta, nu, q):
     w = hermitian_eigen(state.rho).eigenvalues
     closed_spectrum = np.sort([grid.eta[0], grid.upsilon[0], 2.0 * grid.mu[0], 0.0])[::-1]
     np.testing.assert_allclose(closed_spectrum, w, rtol=0.0, atol=1e-10)
-    assert abs(grid.concurrence[0] - measures.concurrence_numeric(state.rho)) <= 1e-9
+    assert abs(grid.concurrence[0] - matrix_route_concurrence(state.rho)) <= 1e-9
     assert abs(grid.entropy[0] - measures.von_neumann_entropy(state.rho)) <= 1e-10
 
 
@@ -396,11 +415,11 @@ def test_concurrence_numeric_small_coupling(theta, nu, q):
     # the eigenvalue eta upsilon ~ nu**4 of sqrt(rho) rho~ sqrt(rho) lies below
     # 1e-13 of its largest one; the spectrum must keep sqrt(eta upsilon) anyway
     state = build_final_state(DetectorParams(theta=theta, nu=nu, q=q))
-    numeric = measures.concurrence_numeric(state.rho)
+    numeric = matrix_route_concurrence(state.rho)
     assert abs(numeric - measures.concurrence_analytic(state)) <= 1e-12
     np.testing.assert_allclose(
-        measures.wootters_spectrum(state.rho) ** 2,
-        measures.analytic_eigenvalues(state),
+        matrix_route_spectrum(state.rho)[0] ** 2,
+        analytic_eigenvalues(state),
         rtol=1e-9,
         atol=1e-24,
     )
@@ -564,17 +583,9 @@ def test_oracle_names_the_point_of_a_non_finite_state(monkeypatch):
         measures.oracle_deviations(grid)
 
 
-def phased_x_states(phases, theta=0.6, nu=0.05, q=0.5):
-    grid = measures.evaluate_grid(theta, nu, np.full(len(phases), q))
-    rho = x_state_rho(grid.theta, grid.mu, grid.upsilon, grid.eta).copy()
-    rho[:, 1, 2] *= np.exp(1j * np.asarray(phases))
-    rho[:, 2, 1] = rho[:, 1, 2].conj()
-    return grid, rho
-
-
 def test_wootters_spectrum_of_a_real_state_takes_the_float64_route(monkeypatch):
-    # as in oracle_deviations, a state with no imaginary part reaches _spin_flip with
-    # float64 eigenvectors, so it skips the row-by-row scan for real W
+    # oracle_deviations rebuilds the states as a float64 stack, so _spin_flip gets
+    # float64 eigenvectors and forms tau in real arithmetic
     seen = []
     real = measures._spin_flip
 
@@ -583,42 +594,21 @@ def test_wootters_spectrum_of_a_real_state_takes_the_float64_route(monkeypatch):
         return real(eig)
 
     monkeypatch.setattr(measures, "_spin_flip", recording)
-    rho = build_final_state(DetectorParams(theta=0.6, nu=0.05, q=0.5)).rho
-    assert rho.dtype == np.complex128
-    assert measures.wootters_spectrum(rho).tobytes() == measures.wootters_spectrum(rho.real).tobytes()
-    assert seen == [np.float64, np.float64]
+    deviations = measures.oracle_deviations(measures.evaluate_grid(0.6, 0.05, 0.5))
+    assert seen == [np.float64]
+    assert deviations.max() <= 1e-12
 
 
-def test_complex_tau_fallback_in_a_mixed_batch(monkeypatch):
-    from qfesim import qmatrix
-
-    phases = np.array([0.0, 0.3, 0.0, 1.1, 2.0, 0.0])
-    real_rows = phases == 0.0
-    grid, rho = phased_x_states(phases)
-    solved = []
-    real = qmatrix._unchecked_eigen
-
-    def recording(a, vectors=True):
-        solved.append(np.array(a))
-        return real(a, vectors)
-
-    monkeypatch.setattr(qmatrix, "_unchecked_eigen", recording)  # the rho and tau solves
-    r = measures.wootters_spectrum(rho)
-    c = measures._wootters_concurrence(r)
-    # rho, then the real taus as a stack, then tau+ tau of the complex ones
-    assert [len(a) for a in solved] == [6, 3, 3]
-    assert not solved[1].imag.any()
-    np.testing.assert_allclose(c, grid.concurrence[0], rtol=0.0, atol=1e-12)
-    alone = measures.wootters_spectrum(rho[real_rows])
-    assert alone.tobytes() == r[real_rows].tobytes()
+def test_spin_flip_of_real_states_matches_lapack_singular_values():
     # the real taus, formed in real arithmetic, against singular values from LAPACK;
     # a real state outside the X family also pins every sign of sy x sy
+    grid = measures.evaluate_grid(0.6, 0.05, np.full(3, 0.5))
+    states = x_state_rho(grid.theta, grid.mu, grid.upsilon, grid.eta).real
     a = np.random.default_rng(7).standard_normal((4, 4))
     generic = (a @ a.T / np.trace(a @ a.T))[None]
-    for states, spectrum in ((rho[real_rows], r[real_rows]),
-                             (generic, measures.wootters_spectrum(generic))):
-        p, v = np.linalg.eigh(states)
+    for stack in (states, generic):
+        p, v = np.linalg.eigh(stack)
         w = v * np.sqrt(np.maximum(p, 0.0))[:, None, :]
         tau = w.swapaxes(1, 2) @ measures.FLIP_OPERATOR @ w
-        np.testing.assert_allclose(spectrum, np.linalg.svd(tau, compute_uv=False),
-                                   rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(matrix_route_spectrum(stack),
+                                   np.linalg.svd(tau, compute_uv=False), rtol=0.0, atol=1e-13)

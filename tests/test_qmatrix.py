@@ -31,22 +31,30 @@ def reference_partial_trace(rho, subsystem):
     return r[0, :, 0, :] + r[1, :, 1, :]
 
 
+def reduced_a(rho, tolerance=measures._DEFAULT_PURITY_TOL):
+    # the package's one partial trace: over B, of one validated 4x4 state; a tolerance
+    # of 1 lifts the purity check and leaves the validated reduction alone
+    return measures._pure_reduced_state(rho, tolerance)
+
+
+def random_pure(rng, n=2):
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
 def test_partial_trace_product_state():
     rng = np.random.default_rng(4)
-    a = random_density(rng, 2)
-    b = random_density(rng, 2)
-    rho = np.kron(a, b)
-    np.testing.assert_allclose(qmatrix.partial_trace(rho, "A"), a, atol=1e-12)
-    np.testing.assert_allclose(qmatrix.partial_trace(rho, "B"), b, atol=1e-12)
+    a, b = random_density(rng, 2), random_density(rng, 2)
+    np.testing.assert_allclose(reduced_a(np.kron(a, b), tolerance=1.0), a, atol=1e-12)
+    a, b = random_pure(rng), random_pure(rng)
+    np.testing.assert_allclose(reduced_a(np.kron(a, b)), a, atol=1e-12)  # pure, as checked
 
 
 def test_partial_trace_bell_state():
     psi = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
     rho = np.outer(psi, psi.conj())
-    for side in ("A", "B"):
-        np.testing.assert_allclose(
-            qmatrix.partial_trace(rho, side), np.eye(2) / 2.0, atol=1e-15
-        )
+    np.testing.assert_allclose(reduced_a(rho), np.eye(2) / 2.0, atol=1e-15)
 
 
 def test_partial_trace_joint_state_template():
@@ -60,7 +68,7 @@ def test_partial_trace_joint_state_template():
     rho[2, 2] = 2 * mu * c2
     rho[1, 2] = rho[2, 1] = mu * math.sin(2 * theta)
     rho[3, 3] = upsilon
-    reduced = qmatrix.partial_trace(rho, "A")
+    reduced = reduced_a(rho, tolerance=1.0)
     np.testing.assert_allclose(
         reduced, np.diag([eta + 2 * mu * s2, 2 * mu * c2 + upsilon]), atol=1e-14
     )
@@ -72,21 +80,23 @@ def test_partial_trace_linear_and_trace_preserving():
         r1, r2 = random_density(rng), random_density(rng)
         w = rng.uniform(0.0, 1.0)
         mixed = w * r1 + (1.0 - w) * r2
-        got = qmatrix.partial_trace(mixed, "B")
-        expected = w * reference_partial_trace(r1, "B") + (1.0 - w) * reference_partial_trace(r2, "B")
+        got = reduced_a(mixed, tolerance=1.0)
+        expected = w * reference_partial_trace(r1, "A") + (1.0 - w) * reference_partial_trace(r2, "A")
         np.testing.assert_allclose(got, expected, atol=1e-12)
         assert abs(np.trace(got).real - 1.0) <= 1e-12
 
 
 def test_partial_trace_rejects_non_density():
     with pytest.raises(ValueError, match="unit trace"):
-        qmatrix.partial_trace(np.eye(4), "A")
+        reduced_a(np.eye(4))
     bad = np.eye(4, dtype=complex) / 4.0
     bad[0, 1] = 1e-6
     with pytest.raises(ValueError, match="Hermitian"):
-        qmatrix.partial_trace(bad, "A")
-    with pytest.raises(ValueError, match="subsystem"):
-        qmatrix.partial_trace(np.eye(4) / 4.0, "C")
+        reduced_a(bad, tolerance=1.0)
+    with pytest.raises(ValueError, match=r"one 4x4 density matrix, got shape \(2, 2\)"):
+        reduced_a(np.diag([1.0, 0.0]))  # a pure qubit, not a pair
+    with pytest.raises(ValueError, match=r"got shape \(1, 4, 4\)"):
+        reduced_a(np.eye(4)[None] / 4.0, tolerance=1.0)
 
 
 def test_hermitian_eigen_diagonal_tie_order():
@@ -273,24 +283,20 @@ def test_real_and_eigenvalue_only_paths_give_the_public_bits(stack):
 @given(hermitian_stacks())
 def test_density_eigenvalues_are_the_density_eigen_bits(stack):
     # same checks, sweeps and PSD floor without eigenvectors; the real part of a
-    # density matrix is one too, and its spin-flip spectrum takes the float64 route
+    # density matrix is one too
     with np.errstate(all="ignore"):
         gram = stack @ stack  # positive semidefinite up to roundoff
         rho = (gram + gram.conj().swapaxes(1, 2)) / 2.0
         rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     for states in (rho, np.ascontiguousarray(rho.real), rho[0]):
         try:
-            w, v = qmatrix.density_eigen(states)
+            w = qmatrix.density_eigen(states).eigenvalues
         except ValueError as error:
             with pytest.raises(ValueError) as again:
                 qmatrix.density_eigenvalues(states)
             assert str(again.value) == str(error)
             continue
         assert qmatrix.density_eigenvalues(states).tobytes() == w.tobytes()
-        if states.ndim == 3 and states.shape[-1] == 4 and not np.iscomplexobj(states):
-            # the complex128 V of density_eigen takes the row-by-row real branch of _spin_flip
-            before = measures._spin_flip(qmatrix.EigenDecomposition(w, v))
-            assert measures.wootters_spectrum(states).tobytes() == before.tobytes()
 
 
 def test_x_states_among_dense_matrices_bit_for_bit(monkeypatch):

@@ -93,6 +93,35 @@ def test_golden_section_rejects_bad_bracket():
         sweep.golden_section_max(lambda x: x, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                    (0.0, math.nan)])
+def test_golden_section_rejects_non_finite_bounds(lo, hi):
+    # hi = inf once returned (nan, nan)
+    with pytest.raises(ValueError, match=r"needs finite bounds, got \["):
+        sweep.golden_section_max(lambda x: -(x - 0.3) ** 2, lo, hi)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_golden_section_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    # tol = 0 once looped forever, and tol = nan returned the unsearched midpoint
+    with pytest.raises(ValueError, match=f"needs a finite tol > 0, got {tol}$"):
+        sweep.golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol=tol)
+
+
+def test_golden_section_ends_where_the_bracket_stops_shrinking():
+    # a tol below the spacing of the doubles once looped forever
+    x, value = sweep.golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol=1e-300)
+    assert abs(x - 0.3) <= 1e-8
+    assert value <= 0.0
+
+
+def test_find_qfe_peak_over_a_bracket_of_huge_thetas_ends():
+    # near theta = 1e9 the doubles are 1.2e-7 apart, coarser than the 1e-8 tolerance
+    fixed = DetectorParams(theta=0.0, nu=0.05, q=0.5)
+    result = sweep.find_qfe_peak(fixed, "theta", (0.0, 1e9))
+    assert 0.95 <= result.value <= QFE_STAR + 1e-12
+
+
 def test_universal_qfe_maximum():
     # location/value of the fluctuation maximum over the concurrence itself
     c, value = sweep.golden_section_max(qfe_from_concurrence, 1e-9, 1.0 - 1e-9, tol=1e-10)

@@ -27,10 +27,16 @@
 * The CSV writer prints at most 0.1% of the fields of the figure presets and
   the sweep goldens through its one-value ``%`` fallback, so the work cannot
   drift back to ``%`` unseen.
+* Each module's set of public functions is pinned, so a new wrapper is a
+  visible decision rather than a drift of the public surface.
+* The spin-flip spectrum (``measures._spin_flip``) is handed float64
+  eigenvectors on every call that ``check`` and ``sweep --oracle`` make: it
+  forms tau in real arithmetic and keeps no complex-state fallback.
 """
 
 import ast
 import contextlib
+import inspect
 import io
 import pathlib
 import re
@@ -39,7 +45,7 @@ import numpy as np
 import pytest
 
 import qfesim
-from qfesim import cli
+from qfesim import cli, detector, measures, qmatrix, sweep
 from qfesim.measures import evaluate_grid
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -240,3 +246,44 @@ def test_csv_writer_rarely_falls_back_to_percent(argv, monkeypatch):
         assert cli.main(argv) == 0
     fields = 10 * (stdout.getvalue().count("\n") - 1)
     assert fields > 0 and len(fallbacks) <= fields // 1000
+
+
+PUBLIC_FUNCTIONS = {
+    cli: {"console_main", "load_config", "main", "write_csv"},
+    detector: {"accel_to_q", "build_final_state", "coupling_nu", "trajectory_point",
+               "validity_check", "weights_grid", "x_state_rho"},
+    measures: {"concurrence_analytic", "entanglement_entropy_pure", "evaluate_grid",
+               "oracle_deviations", "pure_concurrence", "qfe_from_concurrence",
+               "qfe_variance_pure", "von_neumann_entropy"},
+    qmatrix: {"density_eigen", "density_eigenvalues", "hermitian_eigen",
+              "hermitian_eigenvalues", "matrix_sqrt_psd"},
+    sweep: {"figure_preset", "find_qfe_peak", "golden_section_max", "oracle_scan",
+            "run_sweep", "sweep_grid"},
+}
+
+
+@pytest.mark.parametrize("module", PUBLIC_FUNCTIONS, ids=lambda module: module.__name__)
+def test_each_module_defines_exactly_its_pinned_public_functions(module):
+    defined = {name for name, value in vars(module).items()
+               if inspect.isfunction(value) and value.__module__ == module.__name__
+               and not name.startswith("_")}
+    assert defined == PUBLIC_FUNCTIONS[module]
+
+
+def test_the_spin_flip_spectrum_gets_float64_eigenvectors_on_every_oracle_call(monkeypatch):
+    dtypes = []
+    real = measures._spin_flip
+
+    def recording(eig):
+        dtypes.append(eig.eigenvectors.dtype)
+        return real(eig)
+
+    monkeypatch.setattr(measures, "_spin_flip", recording)
+    scan = sweep.oracle_scan()
+    assert scan.points == 13200 and len(dtypes) == 16  # one call per 1,024-point chunk
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["sweep", "--variable", "q", "--min", "0", "--max", "0.999",
+                         "--steps", "1500", "--theta", "0.6", "--nu", "0.05", "--oracle"]) == 0
+    assert len(dtypes) == 16 + 2
+    assert set(dtypes) == {np.dtype(np.float64)}
