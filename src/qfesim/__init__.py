@@ -13,7 +13,6 @@ from .sweep import (
     figure_preset,
     find_qfe_peak,
     oracle_scan,
-    run_sweep,
     sweep_grid,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "CrossCheckError",
     "SweepSpec",
     "sweep_grid",
-    "run_sweep",
     "figure_preset",
     "find_qfe_peak",
     "oracle_scan",

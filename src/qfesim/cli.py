@@ -3,9 +3,10 @@
 Verbs: ``state`` (one parameter point), ``sweep`` (explicit grid),
 ``figure`` (preset grids fig1/fig2/fig3), ``peak`` (fluctuation maximum)
 and ``check`` (closed-form vs matrix-route self check).  Results go to the
-data stream as CSV with 9-significant-digit reals, formatted and written
-1,024 rows at a time so memory does not grow with the grid; diagnostics go
-to the error stream; the exit status is nonzero on any error.
+data stream as CSV with 9-significant-digit reals, evaluated, formatted
+and written 1,024 points at a time, so the process's memory grows with the
+grid only by the grid's own (theta, nu, q); diagnostics go to the error
+stream; the exit status is nonzero on any error.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .sweep import (
     DEFAULT_Q_MAX,
     MAX_STEPS,
     SweepSpec,
+    _chunks,
+    _sweep_points,
     figure_preset,
     find_qfe_peak,
     oracle_scan,
-    sweep_grid,
 )
 
 CSV_HEADER = "q,theta,nu,mu,upsilon,eta,concurrence,entropy,qfe,ratio"
@@ -136,9 +138,6 @@ def load_config(path: str) -> dict:
 
 def _format_real(value: float) -> str:
     return "%#.9g" % value
-
-
-_CHUNK_ROWS = 1024  # grid rows formatted at a time; bounds peak memory
 
 
 # The %#.9g kernel.  A field takes 16 bytes, two little-endian uint64 words,
@@ -341,15 +340,15 @@ def _format_chunk(columns) -> str:
     return out
 
 
-def _csv_text(grid: GridValues) -> Iterator[str]:
-    """Yield the header, then the rows of ``_CHUNK_ROWS`` points at a time.
+def _csv_text(chunks: Iterable) -> Iterator[str]:
+    """Yield the header, then the rows of each chunk of ``GridValues`` columns.
 
     A row is (q, theta, nu, mu, upsilon, eta, C, S, QFE, ratio) with a NaN
     ratio blank; ``_format_chunk`` builds each chunk's text.
     """
     yield CSV_HEADER + "\n"
-    for start in range(0, len(grid.q), _CHUNK_ROWS):
-        yield _format_chunk([column[start:start + _CHUNK_ROWS] for column in grid])
+    for chunk in chunks:
+        yield _format_chunk(chunk)
 
 
 def _emit(pieces: Iterable[str], destination: str | None) -> None:
@@ -363,7 +362,20 @@ def _emit(pieces: Iterable[str], destination: str | None) -> None:
 
 def write_csv(grid: GridValues, destination: str | None = None) -> None:
     """Emit one row per grid point under the fixed header; ``None`` writes to stdout."""
-    _emit(_csv_text(grid), destination)
+    _emit(_csv_text(_chunks(grid)), destination)
+
+
+def _write_points(points, args) -> int:
+    """Evaluate and emit the flat (theta, nu, q) ``points``, one chunk at a time.
+
+    With ``--oracle`` every chunk is cross-checked first, so a disagreement
+    anywhere prints no CSV and creates no ``--output`` file.
+    """
+    if args.oracle:
+        for chunk in _chunks(points):
+            evaluate_grid(*chunk, cross_check=True)
+    _emit(_csv_text(evaluate_grid(*chunk) for chunk in _chunks(points)), args.output)
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -413,9 +425,7 @@ def _warn_validity(params: DetectorParams) -> None:
 def _run_state(args) -> int:
     params = _make_params(args)
     _warn_validity(params)
-    grid = evaluate_grid(params.theta, params.nu, params.q, cross_check=bool(args.oracle))
-    write_csv(grid, args.output)
-    return 0
+    return _write_points([np.array([v]) for v in (params.theta, params.nu, params.q)], args)
 
 
 def _run_sweep(args) -> int:
@@ -425,16 +435,13 @@ def _run_sweep(args) -> int:
     _warn_validity(params)
     spec = SweepSpec(variable=args.variable, min=args.min, max=args.max, steps=args.steps,
                      fixed=params)
-    write_csv(sweep_grid([spec], cross_check=bool(args.oracle)), args.output)
-    return 0
+    return _write_points(_sweep_points([spec]), args)
 
 
 def _run_figure(args) -> int:
     if args.which is None:
         raise ValueError("figure requires --which (fig1, fig2 or fig3)")
-    write_csv(sweep_grid(figure_preset(args.which), cross_check=bool(args.oracle)),
-              args.output)
-    return 0
+    return _write_points(_sweep_points(figure_preset(args.which)), args)
 
 
 def _run_peak(args) -> int:

@@ -28,12 +28,17 @@ SOFT_COUPLING_LIMIT = 0.01  # nu**2 above this strains the weak-coupling expansi
 MIN_GAP_WINDOW = 100.0      # omega*delta below this makes the window short vs 1/omega
 
 
+def _check_finite(name: str, value: float, positive: bool = False) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is finite, and > 0 if ``positive``."""
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        bound = " and positive" if positive else ""
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
+
+
 def accel_to_q(omega: float, accel: float) -> float:
     """Acceleration parameter q = exp(-2*pi*omega/accel)."""
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if not accel > 0:
-        raise ValueError(f"accel must be positive, got {accel}")
+    _check_finite("omega", omega, positive=True)
+    _check_finite("accel", accel, positive=True)
     return math.exp(-2.0 * math.pi * omega / accel)
 
 
@@ -44,10 +49,10 @@ def coupling_nu(epsilon: float, omega: float, delta: float, kappa: float) -> flo
     time the detector stays on, and ``kappa`` the detector size (kappa may
     be zero for a point-like detector).
     """
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_finite("epsilon", epsilon)
+    _check_finite("omega", omega, positive=True)
+    _check_finite("delta", delta, positive=True)
+    _check_finite("kappa", kappa)
     return math.sqrt(
         epsilon * epsilon * omega * delta / (2.0 * math.pi)
         * math.exp(-(omega * omega) * (kappa * kappa))
@@ -74,8 +79,7 @@ class DetectorParams:
     delta: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
+        _check_finite("theta", self.theta)
         if not self.nu >= 0:
             raise ValueError(f"nu must be non-negative, got {self.nu}")
         if self.nu * self.nu >= 1.0:
@@ -83,9 +87,8 @@ class DetectorParams:
                 f"nu**2 must stay below 1 for the perturbative model, got nu = {self.nu}"
             )
         for name in ("omega", "accel", "delta"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            if getattr(self, name) is not None:
+                _check_finite(name, getattr(self, name), positive=True)
         q = self.q
         if self.omega is not None and self.accel is not None:
             derived = accel_to_q(self.omega, self.accel)

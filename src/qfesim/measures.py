@@ -224,8 +224,10 @@ def _pure_reduced_state(psi_rho, tolerance: float) -> np.ndarray:
 
     The state is read in the product basis |0_A 0_B>, |0_A 1_B>, |1_A 0_B>,
     |1_A 1_B>, and B is traced out.  It keeps the state's dtype: a real
-    state gives a float64 reduced state.
+    state gives a float64 reduced state.  ``tolerance`` must lie in [0, 1).
     """
+    if not (math.isfinite(tolerance) and 0.0 <= tolerance < 1.0):
+        raise ValueError(f"tolerance must be finite and in [0, 1), got {tolerance}")
     m = _as_matrices(psi_rho)
     if m.shape != (4, 4):
         raise ValueError(f"a two-qubit state is one 4x4 density matrix, got shape {m.shape}")

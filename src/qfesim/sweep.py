@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .detector import DetectorParams, _weights_and_sines
 from .measures import (
+    _CHUNK_POINTS,
     GridValues,
     _qfe_and_ratio,
     _x_concurrence,
@@ -62,22 +63,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    """One evaluated grid point: parameters, weights and measures."""
-
-    q: float
-    theta: float
-    nu: float
-    mu: float
-    upsilon: float
-    eta: float
-    concurrence: float
-    entropy: float
-    qfe: float
-    ratio: float | None
-
-
-@dataclass(frozen=True)
 class PeakResult:
     """Located fluctuation maximum with the bracket that pinned it down."""
 
@@ -102,23 +87,24 @@ def _along(fixed: DetectorParams, variable: str, x):
     return x, fixed.nu, fixed.q
 
 
-def _records(grid: GridValues) -> list[SweepRecord]:
-    return [
-        SweepRecord(*row[:9], ratio=None if math.isnan(row[9]) else row[9])
-        for row in zip(*(column.tolist() for column in grid))
-    ]
-
-
-def sweep_grid(specs, *, cross_check: bool = False) -> GridValues:
-    """Evaluate sweeps as one grid, rows in spec order and then grid order."""
+def _sweep_points(specs) -> list[np.ndarray]:
+    """Flat (theta, nu, q) of sweeps, in spec order and then grid order."""
     columns = [np.broadcast_arrays(*spec.points()) for spec in specs]
-    theta, nu, q = (np.concatenate(column) for column in zip(*columns))
-    return evaluate_grid(theta, nu, q, cross_check=cross_check)
+    return [np.concatenate(column) for column in zip(*columns)]
 
 
-def run_sweep(spec: SweepSpec, *, cross_check: bool = False) -> list[SweepRecord]:
-    """Evaluate the grid in ascending order, one record per point."""
-    return _records(sweep_grid([spec], cross_check=cross_check))
+def _chunks(columns) -> Iterator[list[np.ndarray]]:
+    """The rows of equal-length columns, ``_CHUNK_POINTS`` (1,024) at a time."""
+    for start in range(0, len(columns[0]), _CHUNK_POINTS):
+        yield [column[start:start + _CHUNK_POINTS] for column in columns]
+
+
+def sweep_grid(specs) -> GridValues:
+    """Evaluate sweeps as one grid, rows in spec order and then grid order.
+
+    The command line evaluates the same points in ``_chunks`` instead.
+    """
+    return evaluate_grid(*_sweep_points(specs))
 
 
 def figure_preset(which: str) -> list[SweepSpec]:
@@ -233,8 +219,9 @@ def oracle_scan(
 ) -> OracleScan:
     """Compare the closed forms against the matrix route.
 
-    Runs the standard validation grid (theta x nu x q), one (theta, q)
-    plane per nu, and returns the worst absolute deviation of the
+    Runs the standard validation grid (theta x nu x q) as one flat grid
+    in (nu, theta, q) order, 1,024 points at a time (13 chunks by
+    default), and returns the worst absolute deviation of the
     concurrence, the entropy and the squared spin-flip spectrum.  Nothing
     is gated here: ``qfesim check`` fails when the concurrence or the
     entropy deviates by more than 1e-9 (``CROSS_CHECK_TOL``), and reports
@@ -242,9 +229,10 @@ def oracle_scan(
     """
     thetas = np.linspace(0.0, math.pi / 2.0, theta_points)
     qs = np.linspace(0.0, q_max, q_points)
+    nu, theta, q = (v.ravel() for v in np.meshgrid(nu_values, thetas, qs, indexing="ij"))
     worst = np.zeros(3)
-    for nu in nu_values:
-        deviations = oracle_deviations(evaluate_grid(thetas[:, None], nu, qs))
+    for chunk in _chunks([theta, nu, q]):
+        deviations = oracle_deviations(evaluate_grid(*chunk))
         worst = np.maximum(worst, deviations.max(axis=0, initial=0.0))
     c, entropy, spectrum = worst.tolist()
     return OracleScan(

@@ -29,7 +29,7 @@ from qfesim.measures import (
     qfe_variance_pure,
 )
 from qfesim.qmatrix import hermitian_eigen, matrix_sqrt_psd
-from qfesim.sweep import figure_preset, golden_section_max, oracle_scan, run_sweep
+from qfesim.sweep import figure_preset, golden_section_max, oracle_scan, sweep_grid
 
 UNIVERSAL_QFE_MAX = 0.9562  # stated target for the fluctuation peak
 GRID_THETAS = np.linspace(0.0, math.pi / 2, 33)
@@ -137,7 +137,7 @@ def test_criterion_05_fig1_unimodal_rise_and_collapse():
     ok = abs(universal - UNIVERSAL_QFE_MAX) <= 0.002
     details = [f"universal max = {universal:.7f}"]
     for spec in figure_preset("fig1"):
-        values = np.array([r.qfe for r in run_sweep(spec)])
+        values = sweep_grid([spec]).qfe
         qs = spec.grid()
         diffs = [d for d in np.diff(values) if d != 0.0]
         drops = sum(1 for a, b in zip(diffs, diffs[1:]) if a > 0.0 > b)
@@ -157,8 +157,8 @@ def test_criterion_06_fig2_endpoints_and_octant_maxima():
     theta = pi/4 dip at the octant points pi/8 and 3 pi/8."""
     ok = True
     for spec, q in zip(figure_preset("fig2"), (0.0, 0.5, 0.8)):
-        records = run_sweep(spec)
-        ok = ok and records[0].qfe == 0.0 and records[-1].qfe == 0.0
+        grid = sweep_grid([spec])
+        ok = ok and grid.qfe[0] == 0.0 and grid.qfe[-1] == 0.0
         dip = _qfe_at_theta(math.pi / 4, q)
         ok = ok and _qfe_at_theta(math.pi / 8, q) > dip
         ok = ok and _qfe_at_theta(3 * math.pi / 8, q) > dip
@@ -217,15 +217,16 @@ def test_criterion_07_fig3_monotone_ratio():
     """Ratio strictly increasing and concurrence strictly decreasing in q
     wherever the concurrence exceeds 1e-6."""
     (spec,) = figure_preset("fig3")
-    records = run_sweep(spec)
-    kept = [r for r in records if r.concurrence > 1e-6]
-    ratio_up = all(b.ratio > a.ratio for a, b in zip(kept, kept[1:]))
-    conc_down = all(b.concurrence < a.concurrence for a, b in zip(kept, kept[1:]))
-    ok = ratio_up and conc_down and len(kept) > 100
+    grid = sweep_grid([spec])
+    kept = grid.concurrence > 1e-6
+    ratio, concurrence = grid.ratio[kept].tolist(), grid.concurrence[kept].tolist()
+    ratio_up = all(b > a for a, b in zip(ratio, ratio[1:]))
+    conc_down = all(b < a for a, b in zip(concurrence, concurrence[1:]))
+    ok = ratio_up and conc_down and len(ratio) > 100
     assert _report(
         "criterion 7: fig3 ratio up / concurrence down",
         ok,
-        f"{len(kept)} points with C > 1e-6",
+        f"{len(ratio)} points with C > 1e-6",
     )
 
 

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfesim import cli
-from qfesim.measures import GridValues, evaluate_grid
-from qfesim.sweep import figure_preset, run_sweep, sweep_grid
+from qfesim.measures import _CHUNK_POINTS, GridValues, evaluate_grid
+from qfesim.sweep import figure_preset, sweep_grid
 
 C_WORKED = 0.9927416847761567
 QFE_WORKED = 0.1730857541653741
@@ -225,23 +225,18 @@ def test_csv_round_trip(tmp_path):
     # i.e. <= max(1e-9 absolute, 5e-9 relative)
     out = tmp_path / "fig2.csv"
     assert cli.main(["figure", "--which", "fig2", "--output", str(out)]) == 0
-    records = []
-    for spec in figure_preset("fig2"):
-        records.extend(run_sweep(spec))
+    rows = list(zip(*(column.tolist() for column in sweep_grid(figure_preset("fig2")))))
     lines = out.read_text(encoding="utf-8").strip().split("\n")
-    assert len(lines) == len(records) + 1
-    for line, record in zip(lines[1:], records):
+    assert len(lines) == len(rows) + 1
+    for line, row in zip(lines[1:], rows):
         fields = line.split(",")
-        original = [
-            record.q, record.theta, record.nu, record.mu, record.upsilon,
-            record.eta, record.concurrence, record.entropy, record.qfe,
-        ]
-        for text, value in zip(fields[:9], original):
+        for text, value in zip(fields[:9], row[:9]):
             assert abs(float(text) - value) <= max(1e-9, 5e-9 * abs(value))
-        if record.ratio is None:
+        ratio = row[9]
+        if math.isnan(ratio):
             assert fields[9] == ""
         else:
-            assert abs(float(fields[9]) - record.ratio) <= max(1e-9, 5e-9 * record.ratio)
+            assert abs(float(fields[9]) - ratio) <= max(1e-9, 5e-9 * ratio)
 
 
 def test_stderr_gets_validity_warnings(capsys):
@@ -409,7 +404,7 @@ def test_config_errors_name_the_path_and_line(line, message, tmp_path, capsys):
     assert (code, captured.out, captured.err) == (2, "", f"error: {config}:3: {message}\n")
 
 
-CHUNK = cli._CHUNK_ROWS
+CHUNK = _CHUNK_POINTS
 ROW_COUNTS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
 # NaN of both signs, infinities, signed zeros, the %g switch points, extremes;
 # then the writer's hard cases: powers of ten and their neighbours, 9-digit
@@ -563,6 +558,52 @@ def test_write_csv_streams_in_bounded_memory(tmp_path):
     assert destination.read_bytes().count(b"\n") == 1 + 200_000
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["closed", "oracle"])
+def test_a_sweep_streams_in_bounded_memory(tmp_path, oracle):
+    # 24 bytes per point of (theta, nu, q) and one chunk's work; a verb that
+    # evaluates the whole sweep before writing it peaks above 30 MB here
+    destination = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main(["sweep", "--variable", "q", "--min", "0", "--max", "0.999",
+                         "--steps", "200000", "--theta", "0.6", "--nu", "0.05",
+                         "--output", str(destination), *oracle])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 10 * 2**20
+    assert destination.read_bytes().count(b"\n") == 1 + 200_000
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_a_cross_check_failure_in_the_last_chunk_writes_nothing(monkeypatch, capsys, tmp_path,
+                                                                to_file):
+    from qfesim import measures
+
+    real = measures._spin_flip
+    sizes = []
+
+    def late(eig):
+        sizes.append(len(eig.eigenvalues))
+        shift = 1e-6 if len(sizes) == 3 else 0.0  # only the last of three chunks
+        return real(eig) + np.array([shift, 0.0, 0.0, 0.0])
+
+    monkeypatch.setattr(measures, "_spin_flip", late)
+    destination = tmp_path / "sweep.csv"
+    argv = ["sweep", "--variable", "q", "--min", "0", "--max", "0.9", "--steps", "3000",
+            "--theta", "0.5", "--nu", "0.05", "--oracle"]
+    code = cli.main(argv + ["--output", str(destination)] * to_file)
+    captured = capsys.readouterr()
+    assert sizes == [_CHUNK_POINTS, _CHUNK_POINTS, 3000 - 2 * _CHUNK_POINTS]
+    assert code == 1
+    assert captured.out == ""
+    q = np.linspace(0.0, 0.9, 3000).item(2 * _CHUNK_POINTS)  # the last chunk's first point
+    assert captured.err.startswith("error: closed-form concurrence ")
+    assert captured.err.endswith(f"at (theta, nu, q) = (0.5, 0.05, {q!r})\n")
+    assert not destination.exists()
+
+
 def test_one_fig1_chunk_peaks_below_700_kib():
     # what formatting one chunk holds at once (about 550 KiB), so that the
     # writer's speed is not bought with memory
@@ -570,7 +611,7 @@ def test_one_fig1_chunk_peaks_below_700_kib():
     chunk = GridValues(*(column[:CHUNK] for column in grid))
     tracemalloc.start()
     try:
-        text = "".join(cli._csv_text(chunk))
+        text = "".join(cli._csv_text([chunk]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -58,6 +58,29 @@ def test_coupling_nu_rejects_bad_domain():
         detector.coupling_nu(0.1, 1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: detector.accel_to_q(v, 1.0), "omega"),
+    (lambda v: detector.accel_to_q(1.0, v), "accel"),
+    (lambda v: detector.coupling_nu(0.1, v, 1.0, 0.0), "omega"),
+    (lambda v: detector.coupling_nu(0.1, 1.0, v, 0.0), "delta"),
+], ids=["accel_to_q-omega", "accel_to_q-accel", "coupling_nu-omega", "coupling_nu-delta"])
+def test_constants_must_be_finite_and_positive(call, name, value):
+    # accel = inf once gave q = 1.0, outside [0, 1); delta = inf gave nu = inf
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: detector.coupling_nu(v, 1.0, 1.0, 0.0), "epsilon"),
+    (lambda v: detector.coupling_nu(0.1, 1.0, 1.0, v), "kappa"),
+], ids=["epsilon", "kappa"])
+def test_coupling_nu_amplitude_and_size_must_be_finite(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        call(value)
+
+
 def test_params_q_domain():
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
         DetectorParams(theta=0.5, nu=0.05, q=1.0)

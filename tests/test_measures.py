@@ -181,9 +181,25 @@ def test_pure_concurrence_rejects_mixed():
         measures.pure_concurrence(np.eye(4) / 4.0, tolerance=1e-6)
 
 
-@pytest.mark.parametrize("measure", [measures.pure_concurrence,
-                                     measures.entanglement_entropy_pure,
-                                     measures.qfe_variance_pure])
+PURE_MEASURES = (measures.pure_concurrence, measures.entanglement_entropy_pure,
+                 measures.qfe_variance_pure)
+
+
+@pytest.mark.parametrize("measure", PURE_MEASURES)
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -0.1, 1.0])
+def test_pure_measures_reject_a_tolerance_outside_0_1(measure, tolerance):
+    # a NaN tolerance once let a maximally mixed state pass as pure
+    with pytest.raises(ValueError,
+                       match=rf"^tolerance must be finite and in \[0, 1\), got {tolerance}$"):
+        measure(np.eye(4) / 4.0, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("measure", PURE_MEASURES)
+def test_pure_measures_accept_a_zero_tolerance_on_a_pure_state(measure):
+    assert measure(pure_rho(0.0), tolerance=0.0) == 0.0
+
+
+@pytest.mark.parametrize("measure", PURE_MEASURES)
 def test_pure_measures_apply_the_psd_floor(measure):
     # pure within the tolerance, but one eigenvalue is -1e-8, below the -1e-10 floor
     near_pure = np.diag([1.0 + 1e-8, 0.0, 0.0, -1e-8]).astype(complex)

@@ -5,7 +5,7 @@ import pytest
 
 from qfesim import sweep
 from qfesim.detector import DetectorParams
-from qfesim.measures import qfe_from_concurrence
+from qfesim.measures import evaluate_grid, qfe_from_concurrence
 
 QFE_WORKED = 0.1730857541653741
 C_STAR = 0.5524341245308833      # argmax of C log2((1+sqrt(1-C^2))/C)
@@ -30,37 +30,33 @@ def test_spec_validation():
 
 
 def test_run_sweep_grid_is_uniform_inclusive():
-    records = sweep.run_sweep(q_spec())
-    assert len(records) == 10
-    np.testing.assert_allclose([r.q for r in records], np.arange(10) * 0.1, atol=1e-15)
-    assert records[0].q == 0.0 and records[-1].q == 0.9
+    grid = sweep.sweep_grid([q_spec()])
+    assert len(grid.q) == 10
+    np.testing.assert_allclose(grid.q, np.arange(10) * 0.1, atol=1e-15)
+    assert grid.q[0] == 0.0 and grid.q[-1] == 0.9
 
 
 def test_run_sweep_row_matches_worked_point():
-    record = sweep.run_sweep(q_spec())[5]
-    assert record.q == 0.5
-    assert abs(record.qfe - QFE_WORKED) <= 1e-12
-    assert abs(record.mu - 400.0 / 803.0) <= 1e-15
+    grid = sweep.sweep_grid([q_spec()])
+    assert grid.q[5] == 0.5
+    assert abs(grid.qfe[5] - QFE_WORKED) <= 1e-12
+    assert abs(grid.mu[5] - 400.0 / 803.0) <= 1e-15
 
 
 def test_run_sweep_deterministic():
-    first = sweep.run_sweep(q_spec(steps=50))
-    second = sweep.run_sweep(q_spec(steps=50))
-    assert first == second
+    first = sweep.sweep_grid([q_spec(steps=50)])
+    second = sweep.sweep_grid([q_spec(steps=50)])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
 
 
 def test_run_sweep_theta_endpoints_have_zero_qfe():
     spec = sweep.SweepSpec(
         "theta", 0.0, math.pi / 2, 21, DetectorParams(theta=0.0, nu=0.05, q=0.5)
     )
-    records = sweep.run_sweep(spec)
-    assert records[0].qfe == 0.0
-    assert records[-1].qfe == 0.0
-    assert records[0].ratio is None
-
-
-def test_run_sweep_cross_check_path():
-    sweep.run_sweep(q_spec(steps=5), cross_check=True)
+    grid = sweep.sweep_grid([spec])
+    assert grid.qfe[0] == 0.0
+    assert grid.qfe[-1] == 0.0
+    assert math.isnan(grid.ratio[0])
 
 
 def test_figure_presets():
@@ -192,7 +188,7 @@ def test_oracle_scan_equals_row_by_row_in_bounded_chunks(monkeypatch):
     assert np.array(scanned).tobytes() == worst.tobytes()
     assert max(built) <= measures._CHUNK_POINTS
     assert sum(built) == 13200
-    assert built == [1024, 1024, 1024, 228] * 4  # one 3,300-point plane per nu
+    assert built == [1024] * 12 + [912]  # the flat (nu, theta, q) grid in 1,024-point chunks
 
 
 def test_oracle_scan_deviations_equal_at_a_smaller_chunk(monkeypatch):
@@ -224,10 +220,10 @@ def test_sweep_grid_concatenates_specs_in_order():
     specs = sweep.figure_preset("fig2")
     grid = sweep.sweep_grid(specs)
     assert len(grid.q) == 3 * 721
-    records = [r for spec in specs for r in sweep.run_sweep(spec)]
-    assert [r.theta for r in records] == grid.theta.tolist()
-    assert [r.q for r in records] == grid.q.tolist()
-    assert [r.entropy for r in records] == grid.entropy.tolist()
+    parts = [evaluate_grid(*spec.points()) for spec in specs]
+    for name in ("theta", "q", "entropy"):
+        joined = np.concatenate([getattr(part, name) for part in parts])
+        assert joined.tolist() == getattr(grid, name).tolist()
 
 
 def test_peak_coarse_scan_agrees_with_refinement_bits():

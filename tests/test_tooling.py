@@ -223,7 +223,7 @@ def test_readme_lists_each_config_key_with_its_verbs():
 def test_write_csv_writes_through_emit_once(monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "_emit", lambda pieces, destination: calls.append(destination))
-    cli.write_csv(evaluate_grid(0.5, 0.05, np.linspace(0.0, 0.9, 3 * cli._CHUNK_ROWS)), "a.csv")
+    cli.write_csv(evaluate_grid(0.5, 0.05, np.linspace(0.0, 0.9, 3 * measures._CHUNK_POINTS)), "a.csv")
     assert calls == ["a.csv"]
 
 
@@ -258,7 +258,7 @@ PUBLIC_FUNCTIONS = {
     qmatrix: {"density_eigen", "density_eigenvalues", "hermitian_eigen",
               "hermitian_eigenvalues", "matrix_sqrt_psd"},
     sweep: {"figure_preset", "find_qfe_peak", "golden_section_max", "oracle_scan",
-            "run_sweep", "sweep_grid"},
+            "sweep_grid"},
 }
 
 
@@ -280,10 +280,10 @@ def test_the_spin_flip_spectrum_gets_float64_eigenvectors_on_every_oracle_call(m
 
     monkeypatch.setattr(measures, "_spin_flip", recording)
     scan = sweep.oracle_scan()
-    assert scan.points == 13200 and len(dtypes) == 16  # one call per 1,024-point chunk
+    assert scan.points == 13200 and len(dtypes) == 13  # one call per 1,024-point chunk
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert cli.main(["sweep", "--variable", "q", "--min", "0", "--max", "0.999",
                          "--steps", "1500", "--theta", "0.6", "--nu", "0.05", "--oracle"]) == 0
-    assert len(dtypes) == 16 + 2
+    assert len(dtypes) == 13 + 2
     assert set(dtypes) == {np.dtype(np.float64)}
