@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .detector import DetectorParams, validity_check
-from .measures import CROSS_CHECK_TOL, CrossCheckError, GridValues, evaluate_grid
+from .measures import CROSS_CHECK_TOL, GridValues, evaluate_grid
 from .sweep import (
     DEFAULT_Q_MAX,
     MAX_STEPS,
@@ -142,23 +142,21 @@ def _format_real(value: float) -> str:
 
 # The %#.9g kernel.  A field takes 16 bytes, two little-endian uint64 words,
 # and every zero byte is dropped when a chunk is joined into text.  A finite
-# v != 0 has the form k + 1, with k = 8 - floor(log10|v|) in [0, 22]; forms
-# 1-13 print fixed notation and forms 14-23 exponent notation.  The low word
-# is one table lookup by sign, form and the 2 leading digits: the sign, a
-# leading "0." and zeros, the 2 digits and the point.  The high word holds
-# the other 7 digits, in bytes 8-14, and the separator.  In forms 1-7 and
-# 14-23, some of them move (``_MOVES``): in fixed notation from 100 up, the
-# digits before the point move one byte lower, into the gap at byte 7; in
-# exponent notation all 7 move 4 bytes lower, before "e-XX".  A field with
-# no digits of its own takes the empty low word of the unused form 0, and a
-# high word that holds "nan" or nothing (a blank ratio, or a literal text
-# written in afterwards).
+# v with 1e-14 <= |v| < 100 has the form k + 1, with k = 8 - floor(log10|v|)
+# in [7, 22]; forms 8-13 print fixed notation and forms 14-23 exponent
+# notation.  The low word is one table lookup by sign, form and the 2 leading
+# digits: the sign, a leading "0." and zeros, the 2 digits and the point.
+# The high word holds the other 7 digits, in bytes 8-14, and the separator;
+# in exponent notation all 7 move 4 bytes lower, before "e-XX," (``_SUFFIX``).
+# A zero takes form 9 with no digits but zeros.  Every other field takes the
+# empty low word of the unused form 0 and a high word that holds only the
+# separator: a blank ratio, or a literal text written in afterwards.
 _FORMS = 24  # per sign
 _ZERO = 9  # the form of a zero: "0.00000000"
-_POWERS = np.array([math.nan] + [float(10**k) for k in range(23)] + [math.nan])  # at k + 1
+_POWERS = np.array([math.nan] * 8 + [float(10**k) for k in range(7, 23)] + [math.nan])  # at k + 1
 _LAYOUTS = {7: b"____SAB.", 8: b"____SA.B", 9: b"___S0.AB", 10: b"__S0.0AB",
             11: b"_S0.00AB", 12: b"S0.000AB"}  # the low word by k: sign, digits 1 and 2
-_BIG, _EXPONENT = b"____SAB_", b"SA.B____"  # k = 0-6, k = 13-22
+_EXPONENT = b"SA.B____"  # k = 13-22
 
 
 def _digit_table(count: int, zero: int, dtype=np.uint64) -> np.ndarray:
@@ -175,55 +173,44 @@ def _digit_table(count: int, zero: int, dtype=np.uint64) -> np.ndarray:
 
 # The high word is _QUAD[digits 3-6] | _TRIPLE[digits 7-9].  _QUAD holds its
 # digits as the bytes 0-9; a _TRIPLE entry holds "0000" under them, its own 3
-# digits and ",".  Entries 1000 and 1001 hold only "," and "nan,": with the
-# middle digits 0, such a field prints nothing or "nan" of its own.
+# digits and ",".  Entry 1000 holds only ",": with the middle digits 0, such
+# a field prints nothing of its own.
 _QUAD = _digit_table(4, 0, np.uint32)
 _TRIPLE = np.append(_digit_table(3, ord("0")) << np.uint64(32) | np.uint64(0x30303030),
-                    np.frombuffer(b"\0" * 8 + b"\0\0\0\0nan\0", "<u8")) | np.uint64(ord(",") << 56)
-_BLANK, _NAN = 1000, 1001
+                    np.uint64(0)) | np.uint64(ord(",") << 56)
+_BLANK = 1000
 _NEWLINE = np.uint64((ord(",") ^ ord("\n")) << 56)  # turns the separator in byte 15 into "\n"
+_SUFFIX = np.array([int.from_bytes(b"\0\0\0e-%02d," % (k - 8), "little") for k in range(13, 23)],
+                   np.uint64)  # the high word's bytes 3-7 by k - 13
 
 
-def _word_tables():
-    """The low word by sign, form and leading digit pair; the moves of the high word by form.
-
-    A move is (taken, shift, lowered, lowered_kept, kept, marks): the low
-    word gains ``(high & taken) << shift``, and the high word becomes
-    ``(high >> lowered) & lowered_kept | high & kept | marks``.
-    """
-    layouts = [_LAYOUTS.get(k, _BIG if k < 7 else _EXPONENT) for k in range(23)]
+def _low_words() -> np.ndarray:
+    """The low word by sign, form and leading digit pair; forms 0-7 stay empty."""
     pair = _digit_table(2, ord("0"))
-    at = {letter: np.array([[8 * layout.index(letter)] for layout in layouts], np.uint64)
-          for letter in (b"A", b"B")}
-    digits = (pair & np.uint64(0xFF)) << at[b"A"] | (pair >> np.uint64(8)) << at[b"B"]
     low = np.zeros((2, _FORMS, 100), np.uint64)
-    for sign, mark in enumerate((b"\0", b"-")):
-        marks = [int.from_bytes(layout.translate(bytes.maketrans(b"_ABS", b"\0\0\0" + mark)),
-                                "little") for layout in layouts]
-        low[sign, 1:] = digits | np.array(marks, np.uint64)[:, None]
-    moves = [(0,) * 6] * _FORMS
-    for k in range(7):  # digit 3 to byte 7, digits 4 to 9 - k one byte lower, then the point
-        point = 8 * (6 - k)  # its bit in the high word
-        moves[k + 1] = (0xFF, 56, 8, (1 << point) - 1, -(1 << point + 8) % 2**64, 0x2E << point)
-    for k in range(13, 23):  # digits 3-6 to bytes 4-7, digits 7-9 to bytes 8-10, then "e-XX,"
-        suffix = int.from_bytes(b"\0\0\0e-%02d," % (k - 8), "little")
-        moves[k + 1] = (0xFFFFFFFF, 32, 32, 0xFFFFFF, 0, suffix)
-    return low.reshape(-1), np.array(moves, np.uint64)
+    for k in range(7, 23):
+        layout = _LAYOUTS.get(k, _EXPONENT)
+        a, b = (np.uint64(8 * layout.index(letter)) for letter in (b"A", b"B"))
+        digits = (pair & np.uint64(0xFF)) << a | (pair >> np.uint64(8)) << b
+        for sign, mark in enumerate((b"\0", b"-")):
+            marks = layout.translate(bytes.maketrans(b"_ABS", b"\0\0\0" + mark))
+            low[sign, k + 1] = digits | np.uint64(int.from_bytes(marks, "little"))
+    return low.reshape(-1)
 
 
-_LOW, _MOVES = _word_tables()
+_LOW = _low_words()
 
 
 def _decimal_parts(values: np.ndarray):
     """(m, k + 1, exact): the 9-digit mantissa, its power-of-ten index and where both hold.
 
     For finite ``v != 0`` with ``e = floor(log10|v|)`` and ``k = 8 - e`` in
-    [0, 22], ``10**k`` is exact, so ``fl(|v| 10**k)`` is off by less than
+    [7, 22], ``10**k`` is exact, so ``fl(|v| 10**k)`` is off by less than
     1.2e-7 from the exact scaled value below 1e9, and its ``rint`` is the
     correctly rounded 9-digit mantissa unless it lies within 1e-6 of a
     half.  ``e`` comes from a float32 ``log10``, and each step is checked:
     ``exact`` is False for zeros, NaNs, infinities, near-ties, every other
-    ``k`` (values below 1e-14 or from 1e9 up), a scaled value below 1e8 and
+    ``k`` (values below 1e-14 or from 100 up), a scaled value below 1e8 and
     a mantissa of 1e9 (``e`` off by one near a power of ten).
     """
     magnitude = np.abs(values)
@@ -243,12 +230,12 @@ def _decimal_parts(values: np.ndarray):
 
 
 def _field_words(values: np.ndarray, ratio: slice):
-    """(words, literals): the 16 bytes of each value's field as two uint64 words.
+    """The 16 bytes of each value's field as two uint64 words, or None.
 
     ``values[ratio]`` are ratios: a NaN among them is blank and ends its
-    row.  ``literals`` maps the index of every value that ``_decimal_parts``
-    leaves out, but a zero or a NaN, to its ``_format_real`` text; its last
-    15 characters are in its words.
+    row.  Every other value that ``_decimal_parts`` leaves out, but a zero,
+    has its ``_format_real`` text written into its field; the result is None
+    when one such text is 16 characters long, one more than a field holds.
     """
     mantissa, index, exact = _decimal_parts(values)
     special = np.flatnonzero(~exact)
@@ -266,27 +253,27 @@ def _field_words(values: np.ndarray, ratio: slice):
     literals = {}
     if special.size:  # a NaN, an infinity or a literal has no digits of its own
         bare = special[values[special] != 0.0]
-        nan = np.isnan(values[bare])
         key[bare] = 0  # form 0: an empty low word
-        rest[bare] = np.where(nan & ((bare < ratio.start) | (bare >= ratio.stop)), _NAN, _BLANK)
-        literals = {i: _format_real(values.item(i)) for i in bare[~nan].tolist()}
+        rest[bare] = _BLANK
+        blank = np.isnan(values[bare]) & (bare >= ratio.start) & (bare < ratio.stop)
+        literals = {i: _format_real(values.item(i)) for i in bare[~blank].tolist()}
+        if any(len(text) > 15 for text in literals.values()):
+            return None
     words = np.empty((len(values), 2), np.uint64)
     words[:, 0] = _LOW.take(key)
     np.bitwise_or(_QUAD.take(middle), _TRIPLE.take(rest), out=words[:, 1])
     del rest, middle, key
-    moving = np.flatnonzero((index - 8).view(np.uint64) > 5)  # forms 1-7 and 14-23
-    if moving.size:
-        low, high = words[moving].T
-        taken, shift, lowered, lowered_kept, kept, marks = _MOVES[index[moving]].T
-        words[moving] = np.column_stack([
-            low | (high & taken) << shift,
-            (high >> lowered) & lowered_kept | high & kept | marks])
+    exponent = np.flatnonzero(index > 13)  # forms 14-23
+    if exponent.size:  # digits 3-6 to bytes 4-7, digits 7-9 to bytes 8-10, then "e-XX,"
+        low, high = words[exponent].T
+        words[exponent, 0] = low | high << 32
+        words[exponent, 1] = high >> 32 & 0xFFFFFF | _SUFFIX[index[exponent] - 14]
     words[ratio, 1] ^= _NEWLINE
     if literals:  # right-aligned in bytes 0-14
-        tails = b"".join(text[-15:].encode("ascii").rjust(15, b"\0") + b"\0"
+        texts = b"".join(text.encode("ascii").rjust(15, b"\0") + b"\0"
                          for text in literals.values())
-        words[list(literals)] |= np.frombuffer(tails, "<u8").reshape(-1, 2)
-    return words, literals
+        words[list(literals)] |= np.frombuffer(texts, "<u8").reshape(-1, 2)
+    return words
 
 
 def _is_constant(column: np.ndarray) -> bool:
@@ -300,7 +287,8 @@ def _format_chunk(columns) -> str:
 
     A NaN prints ``nan``, or nothing in the last (ratio) column.  A column
     that is bitwise constant over the chunk is formatted once: ``values``
-    holds each varying column, then one value of each constant column.
+    holds each varying column, then one value of each constant column.  A
+    chunk with a 16-character text prints through ``%`` row by row.
     """
     rows = len(columns[0])
     constant = [j for j, column in enumerate(columns) if _is_constant(column)]
@@ -310,34 +298,20 @@ def _format_chunk(columns) -> str:
         ratio = slice(len(values) - 1, len(values))
     else:  # or the last varying block
         ratio = slice((len(varying) - 1) * rows, len(varying) * rows)
-    words, literals = _field_words(values, ratio)
-
-    def in_rows(slots):
-        """``slots``, one per value, as the (rows, columns) grid they print in."""
-        grid = np.empty((len(columns), rows), slots.dtype)
-        grid[varying] = slots[:len(varying) * rows].reshape(-1, rows)
-        grid[constant] = slots[len(varying) * rows:, None]
-        return grid.T
-
-    heads = {i: text[:-15] for i, text in literals.items() if len(text) > 15}
-    if heads:  # a 16-character text: its first character goes in before the field
-        lengths = in_rows(np.count_nonzero(words.view(np.uint8).reshape(-1, 16), axis=1))
-        starts = (np.cumsum(lengths) - lengths.reshape(-1)).tolist()
-        slot = in_rows(np.arange(len(values))).reshape(-1)
-    grid = in_rows(words.view("V16").reshape(-1))
-    del words, values
-    data = grid.tobytes()
+    words = _field_words(values, ratio)
+    if words is None:  # a row ends in "nan" only where its ratio is NaN, which prints blank
+        return "".join(",".join(map(_format_real, row)).removesuffix("nan") + "\n"
+                       for row in zip(*(column.tolist() for column in columns)))
+    fields = words.view("V16").reshape(-1)
+    grid = np.empty((len(columns), rows), fields.dtype)
+    grid[varying] = fields[:len(varying) * rows].reshape(-1, rows)
+    grid[constant] = fields[len(varying) * rows:, None]
+    del words, fields, values
+    data = grid.T.tobytes()
     del grid
     text = data.translate(None, b"\0")
     del data
-    out = text.decode("ascii")
-    if heads:
-        pieces, at = [], 0
-        for field in np.flatnonzero(np.isin(slot, list(heads))).tolist():
-            pieces += [out[at:starts[field]], heads[slot[field]]]
-            at = starts[field]
-        out = "".join(pieces) + out[at:]
-    return out
+    return text.decode("ascii")
 
 
 def _csv_text(chunks: Iterable) -> Iterator[str]:
@@ -545,7 +519,7 @@ def main(argv=None) -> int:
                 if getattr(args, key, None) is None:  # a given flag wins
                     setattr(args, key, value)
         return _VERBS[args.verb][1](args)
-    except CrossCheckError as exc:
+    except RuntimeError as exc:  # a cross-check or an internal fault
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -36,10 +36,14 @@ def _check_finite(name: str, value: float, positive: bool = False) -> None:
 
 
 def accel_to_q(omega: float, accel: float) -> float:
-    """Acceleration parameter q = exp(-2*pi*omega/accel)."""
+    """Acceleration parameter q = exp(-2*pi*omega/accel), which must round below 1."""
     _check_finite("omega", omega, positive=True)
     _check_finite("accel", accel, positive=True)
-    return math.exp(-2.0 * math.pi * omega / accel)
+    q = math.exp(-2.0 * math.pi * omega / accel)
+    if q == 1.0:
+        raise ValueError(f"omega/accel = {omega / accel!r} is too small: "
+                         f"q = exp(-2*pi*omega/accel) rounds to 1")
+    return q
 
 
 def coupling_nu(epsilon: float, omega: float, delta: float, kappa: float) -> float:
@@ -219,15 +223,22 @@ class TrajectoryPoint:
 
 
 def trajectory_point(accel: float, tau: float) -> TrajectoryPoint:
-    """World-line point t = sinh(a*tau)/a, x = cosh(a*tau)/a at proper time tau."""
-    if not accel > 0:
-        raise ValueError(f"accel must be positive, got {accel}")
+    """World-line point t = sinh(a*tau)/a, x = cosh(a*tau)/a at proper time tau.
+
+    ``accel`` must be finite and positive and ``tau`` finite; a point whose
+    x overflows a float raises ValueError.
+    """
+    _check_finite("accel", accel, positive=True)
+    _check_finite("tau", tau)
     at = accel * tau
-    return TrajectoryPoint(
-        tau=float(tau),
-        t=math.sinh(at) / accel,
-        x=math.cosh(at) / accel,
-    )
+    try:
+        t, x = math.sinh(at) / accel, math.cosh(at) / accel
+    except OverflowError:
+        x = math.inf
+    if x == math.inf:
+        raise ValueError(f"the world-line point at accel*tau = {at!r} (accel = {accel!r}) "
+                         f"overflows a float")
+    return TrajectoryPoint(tau=float(tau), t=t, x=x)
 
 
 def validity_check(params: DetectorParams) -> list[str]:

@@ -313,6 +313,48 @@ def test_omega_and_accel_must_be_finite_and_positive(argv, message, capsys):
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
+def test_an_omega_over_accel_too_small_for_q_below_1_is_named(capsys):
+    # q once rounded to 1.0 and the error named q, which was not given
+    code = cli.main(["state", "--omega", "1e-20", "--accel", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: omega/accel = 1e-20 is too small: "
+                            "q = exp(-2*pi*omega/accel) rounds to 1\n")
+
+
+def test_an_internal_fault_after_the_first_chunk_prints_an_error_line(monkeypatch, capsys):
+    real = cli.evaluate_grid
+    calls = []
+
+    def faulty(*args, **kwargs):
+        calls.append(len(args[2]))
+        if len(calls) == 2:
+            raise RuntimeError("weight normalization violated: 2*mu+upsilon+eta = 1.1")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_grid", faulty)
+    code = cli.main(["sweep", "--variable", "q", "--min", "0", "--max", "0.9", "--steps", "3000",
+                     "--theta", "0.5", "--nu", "0.05"])
+    captured = capsys.readouterr()
+    assert calls == [_CHUNK_POINTS, _CHUNK_POINTS]
+    assert code == 1
+    assert captured.err == "error: weight normalization violated: 2*mu+upsilon+eta = 1.1\n"
+    assert captured.out.count("\n") == 1 + _CHUNK_POINTS  # the rows already streamed stay
+
+
+def test_a_jacobi_fault_in_check_prints_an_error_line(monkeypatch, capsys):
+    from qfesim import sweep
+
+    def unconverged(grid):
+        raise RuntimeError("Jacobi iteration failed to converge within 100 sweeps")
+
+    monkeypatch.setattr(sweep, "oracle_deviations", unconverged)
+    code = cli.main(["check"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: Jacobi iteration failed to converge within 100 sweeps\n"
+
+
 def test_sweep_steps_cap(capsys):
     # rejected by validation before any grid is built
     code = cli.main(["sweep", "--variable", "q", "--min", "0", "--max", "0.5",
@@ -541,6 +583,25 @@ def test_each_field_is_the_per_value_format_of_any_double(bits):
         if math.isnan(ratio):
             want[9] = ""  # a NaN ratio prints blank; a NaN elsewhere prints nan
     assert fields == expected
+
+
+@pytest.mark.parametrize("e", range(-5, -15, -1))
+def test_each_exponent_notation_layout_is_the_per_value_format(e, monkeypatch):
+    # %g prints 1e-14 <= |v| < 1e-4 in exponent notation, which the writer
+    # builds by moving the digits of its high word before "e-XX"
+    power = 10.0**e
+    mantissas = np.random.default_rng(-e).uniform(1.0, 10.0, 1000)
+    magnitudes = np.concatenate([[power, np.nextafter(power, 0.0)], mantissas * power])
+    values = np.concatenate([magnitudes, -magnitudes])
+    rows = np.resize(values, (-(-len(values) // 10), 10))  # the last row repeats the first values
+    fallbacks = []
+    format_real = cli._format_real
+    monkeypatch.setattr(cli, "_format_real",
+                        lambda value: fallbacks.append(value) or format_real(value))
+    stdout, _ = written(GridValues(*rows.T.copy()))
+    fields = [line.split(",") for line in stdout.splitlines()[1:]]
+    assert fields == [["%#.9g" % v for v in row] for row in rows.tolist()]
+    assert set(map(abs, fallbacks)) <= {np.nextafter(power, 0.0)}  # a carry: 1e9 as mantissa
 
 
 def test_write_csv_streams_in_bounded_memory(tmp_path):

@@ -30,6 +30,15 @@ def test_accel_to_q_rejects_non_positive():
         detector.accel_to_q(1.0, -1.0)
 
 
+def test_accel_to_q_names_a_ratio_too_small_for_q_below_1():
+    with pytest.raises(ValueError, match=r"^omega/accel = 1e-20 is too small: "
+                                         r"q = exp\(-2\*pi\*omega/accel\) rounds to 1$"):
+        detector.accel_to_q(1e-20, 1.0)
+    with pytest.raises(ValueError, match="omega/accel"):
+        DetectorParams(theta=0.5, nu=0.05, omega=1e-20, accel=1.0)
+    assert detector.accel_to_q(1e-16, 1.0) == 0.9999999999999993
+
+
 def test_q_accel_round_trip():
     # accel = 2 pi omega / (-ln q) inverts accel_to_q on (0, 1)
     for q in np.linspace(0.1, 0.9, 9):
@@ -262,6 +271,27 @@ def test_trajectory_hyperbola_invariant():
 def test_trajectory_rejects_non_positive_accel():
     with pytest.raises(ValueError, match="accel"):
         detector.trajectory_point(0.0, 1.0)
+
+
+@pytest.mark.parametrize("accel, tau, message", [
+    (math.inf, 1.0, "accel must be finite and positive, got inf"),
+    (math.nan, 1.0, "accel must be finite and positive, got nan"),
+    (1.0, math.nan, "tau must be finite, got nan"),
+    (1.0, -math.inf, "tau must be finite, got -inf"),
+    (1.0, 1000.0, "the world-line point at accel*tau = 1000.0 (accel = 1.0) overflows a float"),
+    (1.0, -711.0, "the world-line point at accel*tau = -711.0 (accel = 1.0) overflows a float"),
+    (1e-310, 1.0, "the world-line point at accel*tau = 1e-310 (accel = 1e-310) overflows a float"),
+])
+def test_trajectory_rejects_a_point_it_cannot_place(accel, tau, message):
+    # these once returned NaN coordinates, or raised math's bare OverflowError
+    with pytest.raises(ValueError) as info:
+        detector.trajectory_point(accel, tau)
+    assert str(info.value) == message
+
+
+def test_trajectory_places_the_last_point_below_overflow():
+    point = detector.trajectory_point(1.0, 710.0)
+    assert math.isfinite(point.x) and point.t == point.x
 
 
 def test_validity_check_quiet_at_operating_point():

@@ -24,9 +24,10 @@
 * ``cli.write_csv`` writes through ``cli._emit``, once per call: the
   benchmark's tracer (``bench/spans.py``) times CSV formatting as those two
   names, so a rename would silently read ``cli.format_s`` as 0.
-* The CSV writer prints at most 0.1% of the fields of the figure presets and
-  the sweep goldens through its one-value ``%`` fallback, so the work cannot
-  drift back to ``%`` unseen.
+* The CSV writer prints at most 0.1% of the fields of the figure presets,
+  the sweep goldens and two sweeps shaped like the bench calls where
+  exponent notation is densest through its one-value ``%`` fallback, so
+  the work cannot drift back to ``%`` unseen.
 * Each module's set of public functions is pinned, so a new wrapper is a
   visible decision rather than a drift of the public surface.
 * The spin-flip spectrum (``measures._spin_flip``) is handed float64
@@ -235,7 +236,12 @@ def test_write_csv_writes_through_emit_once(monkeypatch):
      "--theta", "pi/4", "--nu", "0"],
     ["sweep", "--variable", "q", "--min", "0", "--max", "0.999", "--steps", "201",
      "--theta", "pi/3", "--nu", "0.1"],
-], ids=["fig1", "fig2", "fig3", "sweep_q_nu0", "sweep_q_nu01"])
+    # the bench calls where exponent notation is densest
+    ["sweep", "--variable", "q", "--min", "0.5", "--max", "0.9999", "--steps", "2000",
+     "--theta", "0.9", "--nu", "0.05"],
+    ["sweep", "--variable", "theta", "--min", "0", "--max", "1.5707963267948966", "--steps", "2001",
+     "--nu", "0.1", "--q", "0.9999"],
+], ids=["fig1", "fig2", "fig3", "sweep_q_nu0", "sweep_q_nu01", "sweep_q_death", "sweep_theta_q09999"])
 def test_csv_writer_rarely_falls_back_to_percent(argv, monkeypatch):
     fallbacks = []
     format_real = cli._format_real
