@@ -15,7 +15,8 @@ Two routes to the measures are kept deliberately separate:
   R = sqrt(sqrt(rho) rho~ sqrt(rho)) and
   rho~ = (sy x sy) conj(rho) (sy x sy), on the float64 eigenvectors.  That
   is two batched Jacobi solves per chunk, so at most two solved matrices
-  per point.
+  per point, and every chunk of a call is checked and solved in the same
+  workspace, allocated once per call.
 
 The two must agree to 1e-9; ``evaluate_grid(..., cross_check=True)``
 enforces that per point for the concurrence and the entropy.  The
@@ -36,13 +37,19 @@ from .qmatrix import (
     EigenDecomposition,
     _as_matrices,
     _density_spectrum,
+    _hermitian_eigenvalues,
+    _scratch,
+    _workspace,
     density_eigenvalues,
     hermitian_eigenvalues,
 )
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 FLIP_OPERATOR = np.kron(_SIGMA_Y, _SIGMA_Y)
-_REAL_FLIP = FLIP_OPERATOR.real  # sy x sy is real
+# sy x sy is real with one nonzero per row: (F W)[k] = sign[k] W[row[k]]
+_FLIP_ROWS = np.abs(FLIP_OPERATOR).argmax(axis=1)
+_FLIP_SIGNS = np.repeat(FLIP_OPERATOR.real[np.arange(4), _FLIP_ROWS], 4)  # per entry, row-major
+_DESCENDING_4 = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))  # a sorting network's compare-exchanges
 
 RATIO_THRESHOLD = 1e-12
 CROSS_CHECK_TOL = 1e-9
@@ -87,14 +94,23 @@ def _x_concurrence(s, c, mu, upsilon, eta):
     return np.minimum(1.0, np.maximum(0.0, value))
 
 
-def _x_spin_flip_squares(theta, mu, upsilon, eta) -> np.ndarray:
-    """{4 mu^2 sin^2(2 theta), eta upsilon, eta upsilon, 0} along a last axis, descending."""
+def _x_spin_flip_squares(theta, mu, upsilon, eta, out=None) -> np.ndarray:
+    """{4 mu^2 sin^2(2 theta), eta upsilon, eta upsilon, 0} along a last axis, descending.
+
+    The weights are nonnegative, so one comparison orders the first two;
+    ``out`` receives the result when given.
+    """
     s = np.sin(theta)
     c = np.cos(theta)
     big = (2.0 * mu * (2.0 * s * c)) ** 2
     cross = eta * upsilon
-    lam = np.stack(np.broadcast_arrays(big, cross, cross, 0.0), axis=-1)
-    return -np.sort(-lam, axis=-1)
+    lam = np.empty(np.broadcast(big, cross).shape + (4,)) if out is None else out
+    first = big >= cross
+    lam[..., 0] = np.where(first, big, cross)
+    lam[..., 1] = cross
+    lam[..., 2] = np.where(first, cross, big)
+    lam[..., 3] = 0.0
+    return lam
 
 
 def _qfe_and_ratio(c):
@@ -157,26 +173,52 @@ def oracle_deviations(grid: GridValues) -> np.ndarray:
     spin-flip spectrum, for its eigenvalues only, so at most two solved
     matrices per point.  Real states stay float64 throughout.  A
     ValueError from the matrix route names the point, the first of its run.
+
+    The call allocates one workspace, sized for a chunk (see
+    :func:`qfesim.qmatrix._workspace`), and every chunk refills it: the
+    distinct states, the Jacobi arrays of both solves, W, F W, tau and the
+    closed-form spectrum.  So the temporaries do not grow with the grid,
+    and but for the states the detector builds, no chunk frees
+    stack-sized arrays for the next one to fault back in.  The workspace
+    belongs to the call, so concurrent calls share nothing.
     """
-    lam = _x_spin_flip_squares(grid.theta, grid.mu, grid.upsilon, grid.eta)
-    out = np.empty((len(grid.theta), 3))
-    for start in range(0, len(grid.theta), _CHUNK_POINTS):
+    size = len(grid.theta)
+    work = _oracle_workspace(min(size, _CHUNK_POINTS))
+    out = np.empty((size, 3))
+    for start in range(0, size, _CHUNK_POINTS):
         chunk = slice(start, start + _CHUNK_POINTS)
-        rho = _x_state_real(grid.theta[chunk], grid.mu[chunk], grid.upsilon[chunk],
-                            grid.eta[chunk])
-        first = _run_starts(rho)
-        eig, fault = _density_spectrum(rho if len(first) == len(rho) else rho[first])
+        weights = [col[chunk] for col in (grid.theta, grid.mu, grid.upsilon, grid.eta)]
+        states = _x_state_real(*weights)
+        points = len(states)
+        first = _run_starts(states)
+        distinct = _scratch(work, "stack", len(first), 4, 4)
+        states = states.take(first, axis=0, out=distinct, mode="clip")  # frees the built stack
+        eig, fault = _density_spectrum(states, True, work)
         if fault is not None:
             i, reason = fault
             raise ValueError(
                 f"{reason} at {_point_name(grid.theta, grid.nu, grid.q, start + first[i])}")
-        runs = np.diff(first, append=len(rho))
-        r = np.repeat(_spin_flip(eig), runs, axis=0)
-        entropy = np.repeat(_entropy_bits(eig.eigenvalues), runs)
+        entropy = _entropy_bits(eig.eigenvalues)  # before tau reuses eig's arrays
+        r = _spin_flip(eig, work)
+        if len(first) < points:
+            runs = np.diff(first, append=points)
+            entropy, r = np.repeat(entropy, runs), np.repeat(r, runs, axis=0)
+        lam = _x_spin_flip_squares(*weights, out=_scratch(work, "lam", points, 4))
         out[chunk, 0] = np.abs(grid.concurrence[chunk] - _wootters_concurrence(r))
         out[chunk, 1] = np.abs(grid.entropy[chunk] - entropy)
-        out[chunk, 2] = np.abs(lam[chunk] - r**2).max(axis=1)
+        gap = np.abs(lam - r**2)
+        np.maximum(np.maximum(gap[:, 0], gap[:, 1]), np.maximum(gap[:, 2], gap[:, 3]),
+                   out=out[chunk, 2])
     return out
+
+
+def _oracle_workspace(size: int) -> dict:
+    """The workspace of :func:`oracle_deviations` for up to ``size`` states at a time.
+
+    Beside the Jacobi regions, ``stack`` holds the distinct states and then
+    their tau, and ``lam`` the closed-form spectrum (see :func:`_spin_flip`).
+    """
+    return _workspace(size, stack=16, lam=4)
 
 
 def _run_starts(stack: np.ndarray) -> np.ndarray:
@@ -190,18 +232,34 @@ def _run_starts(stack: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, blocks[1:] != blocks[:-1]])
 
 
-def _spin_flip(eig: EigenDecomposition) -> np.ndarray:
+def _spin_flip(eig: EigenDecomposition, work=None) -> np.ndarray:
     """Descending r_i, shape (N, 4), of a validated stack rho = V diag(p) V+ with float64 V.
 
     W = V diag(sqrt p) gives rho = W W+.  The r_i are the singular values
     of tau = W^T (sy x sy) W, since tau+ tau is similar to rho rho~.  A
-    real W gives a real symmetric tau, formed and solved in real
-    arithmetic for its eigenvalues only, and r_i are their moduli, so
-    nothing is squared and small r_i keep their relative accuracy.
+    real W gives a real symmetric tau, formed as one batched product
+    (F W)^T W, with F W the rows of W reversed and signed, and solved in
+    real arithmetic for its eigenvalues only, and r_i are their moduli, so
+    nothing is squared and small r_i keep their relative accuracy.  With
+    the workspace of :func:`oracle_deviations`, whose rho solve gave eig,
+    W overwrites V, a view of it, F W goes to its ``vectors`` region, free
+    once V is sorted, and tau to its ``stack`` region, whose states are
+    solved by then.
     """
     p, vecs = eig
-    w = vecs * np.sqrt(np.maximum(p, 0.0))[:, None, :]
-    return -np.sort(-np.abs(hermitian_eigenvalues(w.swapaxes(1, 2) @ _REAL_FLIP @ w)), axis=1)
+    size = len(p)
+    root = np.sqrt(np.maximum(p, 0.0))[:, None, :]
+    w = np.multiply(vecs, root, out=None if work is None else vecs)
+    flipped = w.take(_FLIP_ROWS, axis=1, out=_scratch(work, "vectors", size, 4, 4), mode="clip")
+    signed = flipped.reshape(size, 16)  # a view
+    signed *= _FLIP_SIGNS
+    tau = np.matmul(flipped.swapaxes(1, 2), w, out=_scratch(work, "stack", size, 4, 4))
+    r = np.abs(_hermitian_eigenvalues(tau, work))
+    for i, j in _DESCENDING_4:  # the moduli are finite, so max and min only move them
+        high = np.maximum(r[:, i], r[:, j])
+        np.minimum(r[:, i], r[:, j], out=r[:, j])
+        r[:, i] = high
+    return r
 
 
 def _wootters_concurrence(r):

@@ -12,11 +12,15 @@ eigenvalues above -1e-10 (anything in [-1e-10, 0) counts as roundoff).
 that rule is applied together with the solve, and the solve does not
 check the matrix again.  The one matrix route,
 :func:`qfesim.measures.oracle_deviations`, validates and solves its float64
-stacks of states through their private form, ``_density_spectrum``.
+stacks of states through their private form, ``_density_spectrum``, and
+its taus through ``_hermitian_eigenvalues``, all in one workspace per call
+(``_workspace``), whose arrays every chunk refills.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -31,21 +35,31 @@ _NULL_FLOOR = 1e-13
 _TINY_PIVOT = 1e-18  # an off-diagonal entry below this is zeroed, not rotated away
 
 
-def _round(ps: slice, qs: slice, n: int):
-    """Column slices of the p's and q's of a round, their indices, and its pivots."""
-    p, q = np.arange(n)[ps], np.arange(n)[qs]
-    return ps, qs, p, q, (np.r_[p, q], np.r_[q, p])
+def _as_slice(index: np.ndarray) -> slice:
+    """Indices in arithmetic progression as a slice, so that a gather of their columns is a view."""
+    step = int(index[1] - index[0]) if len(index) > 1 else 1
+    stop = int(index[-1]) + step
+    return slice(int(index[0]), stop if stop >= 0 else None, step)
+
+
+def _pivots(pairs):
+    """Column slices of the p's and q's of some pairs of a round, their indices, and pivots."""
+    p, q = (np.array(side) for side in zip(*pairs))
+    return _as_slice(p), _as_slice(q), p, q, (np.r_[p, q], np.r_[q, p])
+
+
+def _round(*pairs):
+    """A round's pivots, and its rotation on each nonempty subset of them, keyed by liveness."""
+    keys = itertools.product((False, True), repeat=len(pairs))
+    return _pivots(pairs), {key: _pivots(list(itertools.compress(pairs, key)))
+                            for key in keys if any(key)}
 
 
 # Parallel (Brent & Luk) ordering: each round rotates disjoint (p, q) pairs,
 # so a round is one vectorized step, and a sweep visits every pair once.
 _ROUNDS = {
-    2: [_round(slice(0, 1), slice(1, 2), 2)],
-    4: [
-        _round(slice(0, 4, 2), slice(1, 4, 2), 4),
-        _round(slice(0, 2), slice(2, 4), 4),
-        _round(slice(0, 2), slice(3, 1, -1), 4),
-    ],
+    2: [_round((0, 1))],
+    4: [_round((0, 1), (2, 3)), _round((0, 2), (1, 3)), _round((0, 3), (1, 2))],
 }
 _UPPER = {n: np.triu_indices(n, 1) for n in _ROUNDS}
 _FLIP = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
@@ -98,14 +112,18 @@ def _finite_fault(stack: np.ndarray):
     return _first(~np.isfinite(stack).all(axis=(1, 2))), "matrix entries must be finite"
 
 
-def _hermitian_fault(stack: np.ndarray, reason: str):
+def _hermitian_fault(stack: np.ndarray, reason: str, work=None):
     """(index, reason) of the first matrix with max |M - M+| above 1e-12; reason ends with it.
 
     The whole stack is tested in one pass, and the defect per matrix is
-    formed only when one fails.  ``conj()`` of a real stack is the stack
-    itself, not a copy.
+    formed only when one fails.  A real stack's defect is formed in place,
+    in the ``hv`` region of ``work`` when given.
     """
-    defect = np.abs(stack - stack.conj().swapaxes(1, 2))
+    if np.iscomplexobj(stack):
+        defect = np.abs(stack - stack.conj().swapaxes(1, 2))
+    else:
+        defect = np.subtract(stack, stack.swapaxes(1, 2), out=_scratch(work, "hv", *stack.shape))
+        np.abs(defect, out=defect)
     if not defect.max(initial=0.0) > HERMITIAN_TOL:
         return None
     defect = defect.max(axis=(1, 2))
@@ -113,9 +131,10 @@ def _hermitian_fault(stack: np.ndarray, reason: str):
     return i, f"{reason}: max |M - M+| = {defect[i]:.3e}"
 
 
-def _density_fault(stack: np.ndarray):
+def _density_fault(stack: np.ndarray, work=None):
     """(index, reason) of the first non-finite, non-Hermitian, then not unit-trace matrix."""
-    fault = _finite_fault(stack) or _hermitian_fault(stack, "density matrix must be Hermitian")
+    fault = (_finite_fault(stack)
+             or _hermitian_fault(stack, "density matrix must be Hermitian", work))
     if fault is not None:
         return fault
     trace = np.trace(stack, axis1=1, axis2=2)
@@ -139,21 +158,22 @@ def _reject(m: np.ndarray, fault) -> None:
         raise ValueError(fault[1] + _in_stack(m, fault[0]))
 
 
-def _density_spectrum(stack: np.ndarray, vectors: bool = True):
+def _density_spectrum(stack: np.ndarray, vectors: bool = True, work=None):
     """(eig, fault) of a stack of density matrices, shape (N, n, n).
 
     ``fault`` is the (index, reason) of the first matrix that is not
     finite, Hermitian or of unit trace or, after the one solve, below the
     PSD floor, else None; ``eig`` is None when the solve never ran.  A
     stack with no nonzero imaginary part is checked and solved in float64
-    and gives float64 eigenvectors.  Without ``vectors`` the solve forms
+    and gives float64 eigenvectors, checked and solved in ``work`` when
+    given (see :func:`_workspace`).  Without ``vectors`` the solve forms
     no eigenvector (see :func:`_jacobi`).
     """
     stack = _real_view(stack)
-    fault = _density_fault(stack)
+    fault = _density_fault(stack, work)
     if fault is not None:
         return None, fault
-    eig = _unchecked_eigen(stack, vectors)
+    eig = _unchecked_eigen(stack, vectors, work)
     return eig, _psd_fault(eig.eigenvalues)
 
 
@@ -191,86 +211,130 @@ def density_eigenvalues(rho) -> np.ndarray:
     return eig.eigenvalues if m.ndim == 3 else eig.eigenvalues[0]
 
 
-def _mix(x, y, c, sigma) -> None:
-    """x, y <- c x - conj(sigma) y, sigma x + c y, in place; complex as (re[, im]) on axis 0."""
+def _mix(x, y, c, sigma, live=None) -> None:
+    """x, y <- c x - conj(sigma) y, sigma x + c y, in place; complex as (re[, im]) on axis 0.
+
+    Only where ``live`` (which broadcasts against x) is true, when it is
+    given; elsewhere x and y keep every bit.
+    """
     sr = sigma[0]
     if len(sigma) == 1:
         sigma_x = sr * x
-        x *= c
-        x -= sr * y
+        conj_y = sr * y
     else:
         k = _FLIP * sigma[1]  # conj(sigma) y = sr y + k swap(y) and sigma x = sr x - k swap(x)
         sigma_x = sr * x - k * x[::-1]
+        conj_y = sr * y + k * y[::-1]
+    if live is None:
         x *= c
-        x -= sr * y + k * y[::-1]
-    y *= c
-    y += sigma_x
+        x -= conj_y
+        y *= c
+        y += sigma_x
+    else:  # the new x and y in place of conj_y and sigma_x
+        x[...] = np.where(live, np.subtract(x * c, conj_y, out=conj_y), x)
+        y[...] = np.where(live, np.add(y * c, sigma_x, out=sigma_x), y)
 
 
-def _rotate(hv: np.ndarray, n: int, rnd, a, r, live) -> None:
-    """One round's rotations, in place, of hv = [H; V], its pivots a of moduli r (live: r >= 1e-18).
+def _rotate(hv: np.ndarray, n: int, pivots: dict, a, r, live) -> None:
+    """One round's rotations, in place, of hv = [H; V], pivots a of moduli r (live: r >= 1e-18).
 
     Each rotation J annihilates H[p, q]: H <- J+ H J and V <- V J.  The new
     diagonal is a_pp - t|a_pq| and a_qq + t|a_pq| (Rutishauser's form), which
     keeps small eigenvalues to high relative accuracy (Demmel & Veselic).
-    ``live`` is None when every pivot is live; hv may hold H alone.
+    A pivot is rotated in exactly the matrices where it is live.  One that
+    is live in none is left out (``pivots`` gives the columns of each set
+    of live pivots), one live in all is mixed in place, and otherwise the
+    mixes are masked, so a dead pivot keeps every bit (a zero-angle
+    rotation could still turn a -0.0 into +0.0).  Every column mix of the
+    round comes before every row mix.  hv may hold H alone.
     """
-    ps, qs, p, q, _ = rnd
+    used = live.any(axis=-1)
+    if not used.all():
+        a, r, live = (x.compress(used, axis=-2) for x in (a, r, live))
+    ps, qs, p, q, _ = pivots[tuple(used.tolist())]
+    mask = None if live.all() else live
     h = hv[:, :n]
     app = h[0, p, p]
     aqq = h[0, q, q]
-    safe = r if live is None else np.where(live, r, 1.0)
+    safe = r if mask is None else np.where(mask, r, 1.0)
     tau = (aqq - app) / (2.0 * safe)
     t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(tau, 1.0))
-    if live is not None:
-        t = np.where(live, t, 0.0)
     c = 1.0 / np.hypot(t, 1.0)
     sigma = (t * c / safe) * a  # s e^{i arg a_pq}
-    _mix(hv[:, :, ps], hv[:, :, qs], c, sigma[:, None])
+    _mix(hv[:, :, ps], hv[:, :, qs], c, sigma[:, None], mask)
     conj = _FLIP[: len(sigma)] * sigma[:, :, None]
-    _mix(h[:, ps], h[:, qs], c[:, None], conj)
+    _mix(h[:, ps], h[:, qs], c[:, None], conj, None if mask is None else mask[:, None])
     tr = t * r
-    h[0, p, p] = app - tr
-    h[0, q, q] = aqq + tr
+    if mask is None:
+        h[0, p, p] = app - tr
+        h[0, q, q] = aqq + tr
+    else:
+        h[0, p, p] = np.where(mask, app - tr, app)
+        h[0, q, q] = np.where(mask, aqq + tr, aqq)
 
 
 def _sweep(hv: np.ndarray, n: int) -> None:
     """One cyclic Jacobi sweep, in place, over hv = [H; V] of shape (parts, 2n, n, N), or H alone.
 
-    A round rotates only the matrices with a pivot of magnitude at least
-    1e-18.  When more than half of them have one, the whole stack is
-    rotated in place, and the rest, copied out with ``take`` first, are
-    written back (a zero-angle rotation can still turn -0.0 into +0.0).
-    Otherwise the live ones are gathered (with the matrix axis still
-    innermost) and scattered back, or none is rotated.  The round then
-    zeroes every pivot and the imaginary diagonal of every matrix, so a
-    matrix's bits depend on its own entries.
+    Per round, each pivot is rotated in exactly the matrices where it has a
+    magnitude of at least 1e-18 (see :func:`_rotate`).  When more than half
+    of the matrices have a live pivot, the whole stack is rotated in place;
+    otherwise those are gathered (with the matrix axis still innermost) and
+    scattered back, or none is rotated.  The round then zeroes every pivot
+    and the imaginary diagonal of every matrix, so a matrix's bits depend
+    on its own entries.
     """
     h = hv[:, :n]
-    for rnd in _ROUNDS[n]:
-        _, _, p, q, pivots = rnd
+    for (_, _, p, q, pivots), live_pivots in _ROUNDS[n]:
         a = h[:, p, q]
         r = np.sqrt(sum(a * a))
         live = r >= _TINY_PIVOT
-        rotated = None if live.all() else live.any(axis=0)  # None: every pivot is live
-        if rotated is None:
-            _rotate(hv, n, rnd, a, r, None)
-        elif 2 * np.count_nonzero(rotated) > len(rotated):
-            idx = np.flatnonzero(~rotated)
-            kept = hv.take(idx, axis=-1)  # a masked rotation may flip the sign of their zeros
-            _rotate(hv, n, rnd, a, r, live)
-            hv[..., idx] = kept
-        elif rotated.any():
+        rotated = live.any(axis=0)
+        count = np.count_nonzero(rotated)
+        if 2 * count > len(rotated):
+            _rotate(hv, n, live_pivots, a, r, live)
+        elif count:
             idx = np.flatnonzero(rotated)
             sub = hv.take(idx, axis=-1)  # unlike hv[..., idx], keeps the matrix axis innermost
-            _rotate(sub, n, rnd, *(x.take(idx, axis=-1) for x in (a, r, live)))
+            _rotate(sub, n, live_pivots, *(x.take(idx, axis=-1) for x in (a, r, live)))
             hv[..., idx] = sub
         if len(h) == 2:
             h[1:, pivots[0], pivots[0]] = 0.0  # the diagonal stays real
         h[(slice(None),) + pivots] = 0.0
 
 
-def _jacobi(parts, vectors: bool) -> EigenDecomposition:
+def _workspace(size: int, n: int = 4, **extra: int) -> dict:
+    """Flat float64 regions, views of one buffer, for solving up to ``size`` real n x n matrices.
+
+    A caller that solves chunk after chunk makes one per call, so that
+    concurrent callers share nothing, and hands it to every solve (see
+    :func:`_jacobi`), which refills its regions in place: ``hv``, the
+    unsorted ``vectors`` and ``w``, and the sorted ``values``.
+    ``extra`` names more regions, of so many words per matrix, for the
+    caller.  One buffer rather than one array per region also keeps glibc
+    from trimming the heap after each call and faulting it back in on the
+    next, while a call's other temporaries stay well below its size:
+    freeing a block of its size raises glibc's mmap and trim thresholds
+    past it.
+    """
+    words = dict(hv=2 * n * n, vectors=n * n, w=n, values=n, **extra)
+    ends = size * np.cumsum(list(words.values()))
+    return dict(zip(words, np.split(np.empty(ends[-1]), ends[:-1])))
+
+
+def _scratch(work, region: str, *shape: int) -> np.ndarray:
+    """A C-contiguous float64 array of ``shape``: the head of ``work[region]``, or new."""
+    return np.empty(shape) if work is None else work[region][: math.prod(shape)].reshape(shape)
+
+
+def _converged(hv: np.ndarray, n: int) -> np.ndarray:
+    """Per matrix of hv = [H; V], whether the off-diagonal Frobenius mass of H is at most 1e-14."""
+    u = hv[(slice(None),) + _UPPER[n]]
+    mass = np.add.reduce(np.add.reduce(u * u), axis=0)  # over the parts, then entry by entry
+    return np.sqrt(2.0 * mass) <= _OFFDIAG_TARGET
+
+
+def _jacobi(parts, vectors: bool, work=None) -> EigenDecomposition:
     """Sorted eigendecomposition of a stack, eigenvalues (N, n) and eigenvectors (N, n, n).
 
     ``parts`` holds the real and, for complex matrices, the imaginary part
@@ -279,26 +343,31 @@ def _jacobi(parts, vectors: bool) -> EigenDecomposition:
     eigenvectors are None.  Every matrix is checked before each sweep and
     set aside once its off-diagonal Frobenius mass is at most 1e-14, so its
     result does not depend on the rest of the stack.  The sweeps work on
-    one array with the matrix axis innermost, and ``compress`` keeps it so
-    when matrices are set aside; a stack that converges all at once is
-    read out through a slice.
+    one array with the matrix axis innermost, and ``take`` keeps it so when
+    matrices are set aside; a stack that converges all at once is read out
+    through a slice.  With a :func:`_workspace` (one part only), the solve
+    allocates no stack-sized array, save the rest of [H; V] when some
+    matrices with eigenvectors are set aside early, and its results are
+    views of the workspace, valid until its next solve.
     """
     count = len(parts)
     size, n = parts[0].shape[:2]
-    hv = np.empty((count, 2 * n if vectors else n, n, size))
+    hv = _scratch(work, "hv", count, 2 * n if vectors else n, n, size)
     for k, part in enumerate(parts):  # M + M+ is Re M + Re M^T and Im M - Im M^T
-        m = part.transpose(1, 2, 0)
-        (np.subtract if k else np.add)(m, m.swapaxes(0, 1), out=hv[k, :n])
+        h = hv[k, :n]
+        h.reshape(n * n, size)[...] = part.reshape(size, n * n).T  # matrix axis last
+        (np.subtract if k else np.add)(h, h.swapaxes(0, 1).copy(), out=h)
     hv[:, :n] *= 0.5
     if vectors:
         hv[1:, n:] = 0.0
         hv[0, n:] = np.eye(n)[:, :, None]
-        rows = np.empty((count, size, n, n))  # the parts of the eigenvectors, one per row
-    w = np.empty((size, n))
+        unsorted = _scratch(work, "vectors", count, size, n, n)  # the parts of each V, row-major
+    w = _scratch(work, "w", size, n)
     live = np.arange(size)
+    # H alone fills half of hv's region, so a sub-stack set aside goes to the other half
+    halves = None if work is None or vectors else np.split(work["hv"], 2)
     for _ in range(_MAX_SWEEPS):
-        u = hv[(slice(None),) + _UPPER[n]]
-        done = np.sqrt(2.0 * sum(sum(u * u))) <= _OFFDIAG_TARGET
+        done = _converged(hv, n)
         last = done.all()  # an empty stack too
         if last or done.any():
             # once every matrix is done, hv is retired whole, with no gather
@@ -308,36 +377,46 @@ def _jacobi(parts, vectors: bool) -> EigenDecomposition:
                 at, retired = (slice(None) if len(live) == size else live), hv
             w[at] = retired[0].diagonal(axis1=0, axis2=1)
             if vectors:
-                rows[:, at] = retired[:, n:].transpose(0, 3, 2, 1)
+                unsorted[:, at] = retired[:, n:].transpose(0, 3, 1, 2)
             if last:
                 break
-            live, hv = live[~done], hv.compress(~done, axis=-1)
+            live, keep = live[~done], np.flatnonzero(~done)
+            if halves is None:
+                hv = hv.take(keep, axis=-1)
+            else:
+                halves.reverse()
+                shape = (*hv.shape[:-1], len(keep))
+                into = halves[0][: math.prod(shape)].reshape(shape)
+                hv = hv.take(keep, axis=-1, out=into, mode="clip")
         _sweep(hv, n)
     else:
         raise RuntimeError("Jacobi iteration failed to converge within 100 sweeps")
-    flat = (np.arange(0, size * n, n)[:, None] + np.argsort(-w, axis=1, kind="stable")).ravel()
-    w = w.take(flat).reshape(size, n)
+    order = np.argsort(-w, axis=1, kind="stable")
+    values = w.take(np.arange(0, size * n, n)[:, None] + order,
+                    out=_scratch(work, "values", size, n), mode="clip")
     if not vectors:
-        return EigenDecomposition(w, None)
-    rows = rows.reshape(count, size * n, n).take(flat, axis=1)  # one take sorts the eigenvectors
-    rows = rows.reshape(count, size, n, n)
+        return EigenDecomposition(values, None)
+    # one take sorts each V's columns, into hv, which is free once the sweeps are done
+    columns = np.arange(0, size * n * n, n).reshape(size, n, 1) + order[:, None, :]
     if count == 1:
-        return EigenDecomposition(w, np.ascontiguousarray(rows[0].swapaxes(1, 2)))
+        return EigenDecomposition(values, unsorted[0].take(
+            columns, out=_scratch(work, "hv", size, n, n), mode="clip"))
     v = np.empty((size, n, n), dtype=np.complex128)
-    v.real, v.imag = rows.swapaxes(2, 3)
-    return EigenDecomposition(w, v)
+    v.real, v.imag = (part.take(columns) for part in unsorted)
+    return EigenDecomposition(values, v)
 
 
-def _unchecked_eigen(stack: np.ndarray, vectors: bool = True) -> EigenDecomposition:
+def _unchecked_eigen(stack: np.ndarray, vectors: bool = True, work=None) -> EigenDecomposition:
     """Sorted eigendecomposition of a stack (N, n, n) already known finite and Hermitian.
 
     The one entry of the rho and tau solves.  A float64 stack is solved in
-    real arithmetic and gives float64 eigenvectors; a complex stack gives
-    complex128 ones, and its real matrices are solved in real arithmetic
-    too.  Without ``vectors`` no eigenvector is formed (see :func:`_jacobi`).
+    real arithmetic, in ``work`` when given, and gives float64
+    eigenvectors; a complex stack gives complex128 ones, and its real
+    matrices are solved in real arithmetic too.  Without ``vectors`` no
+    eigenvector is formed (see :func:`_jacobi`).
     """
     if not np.iscomplexobj(stack):
-        return _jacobi((stack,), vectors)
+        return _jacobi((stack,), vectors, work)
     is_complex = stack.imag.any(axis=(1, 2))
     if is_complex.all():
         return _jacobi((stack.real, stack.imag), vectors)
@@ -355,10 +434,10 @@ def hermitian_eigen(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, or a stack, by cyclic Jacobi rotations.
 
     Every matrix of a stack is solved by the same vectorized sweeps, and
-    its result is bit for bit the one it gets alone: in a round where all
-    of a matrix's pivots are below 1e-18, that matrix is not rotated, and
-    the rule reads its own entries only.  A real matrix is rotated in real
-    arithmetic.  Sweeps stop once the off-diagonal Frobenius mass falls to
+    its result is bit for bit the one it gets alone: a pivot below 1e-18
+    in a matrix is not rotated in it, whatever the round's other pivots
+    are, and the rule reads the matrix's own entries only.  A real matrix
+    is rotated in real arithmetic.  Sweeps stop once the off-diagonal Frobenius mass falls to
     1e-14, with a hard cap of 100 sweeps (never reached for valid input).
     Eigenvalues come back sorted descending, ties keeping their diagonal
     order, with the eigenvector columns permuted to match.
@@ -373,17 +452,22 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     Same checks and sweeps, but no eigenvector is accumulated, and a real
     input is checked and solved in float64 without a complex copy.
     """
-    m, stack = _hermitian_stack(a)
-    w = _unchecked_eigen(stack, vectors=False).eigenvalues
+    return _hermitian_eigenvalues(a)
+
+
+def _hermitian_eigenvalues(a, work=None) -> np.ndarray:
+    """:func:`hermitian_eigenvalues`, a real input checked and solved in ``work`` if given."""
+    m, stack = _hermitian_stack(a, work)
+    w = _unchecked_eigen(stack, False, work).eigenvalues
     return w if m.ndim == 3 else w[0]
 
 
-def _hermitian_stack(a):
+def _hermitian_stack(a, work=None):
     """(m, stack): ``a`` as matrices, and as a stack (see :func:`_real_view`) found finite and Hermitian."""
     m = _as_matrices(a)
     stack = _real_view(m.reshape(-1, *m.shape[-2:]))
     _reject(m, _finite_fault(stack)
-            or _hermitian_fault(stack, f"matrix must be Hermitian within {HERMITIAN_TOL:g}"))
+            or _hermitian_fault(stack, f"matrix must be Hermitian within {HERMITIAN_TOL:g}", work))
     return m, stack
 
 

@@ -266,8 +266,8 @@ def test_oracle_failure_names_the_point(monkeypatch, capsys):
 
     real = measures._spin_flip
 
-    def shifted(eig):
-        r = real(eig)
+    def shifted(eig, work=None):
+        r = real(eig, work)
         assert r.shape == (len(eig.eigenvalues), 4) == (4, 4)  # the whole chunk of states
         return r + np.array([1e-6, 0.0, 0.0, 0.0])
 
@@ -413,7 +413,7 @@ def test_config_key_acts_like_its_flag(key, tmp_path, capsys, monkeypatch):
     value = value.format(tmp=tmp_path)
     if key == "oracle":
         real = measures._spin_flip
-        monkeypatch.setattr(measures, "_spin_flip", lambda eig: real(eig) + 1e-6)
+        monkeypatch.setattr(measures, "_spin_flip", lambda eig, work=None: real(eig, work) + 1e-6)
     config = tmp_path / "preset.cfg"
     config.write_text(f"{key} = {value}\n", encoding="utf-8")
     destination = tmp_path / "row.csv"
@@ -645,10 +645,10 @@ def test_a_cross_check_failure_in_the_last_chunk_writes_nothing(monkeypatch, cap
     real = measures._spin_flip
     sizes = []
 
-    def late(eig):
+    def late(eig, work=None):
         sizes.append(len(eig.eigenvalues))
         shift = 1e-6 if len(sizes) == 3 else 0.0  # only the last of three chunks
-        return real(eig) + np.array([shift, 0.0, 0.0, 0.0])
+        return real(eig, work) + np.array([shift, 0.0, 0.0, 0.0])
 
     monkeypatch.setattr(measures, "_spin_flip", late)
     destination = tmp_path / "sweep.csv"
@@ -715,3 +715,44 @@ def test_a_dash_token_that_is_no_value_of_the_flag_stays_an_error(argv, message,
         cli.main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+FAULT_PROBE = """
+import contextlib, io, resource
+from qfesim import cli
+
+def faults_per_call(argv, calls):
+    for _ in range(3):  # warm-up
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+print(faults_per_call(["check"], 10))
+print(faults_per_call(["sweep", "--variable", "q", "--min", "0", "--max", "0.9999", "--steps",
+                       "3000", "--theta", "0.9", "--nu", "0.05", "--oracle"], 20))
+"""
+
+
+def test_check_and_an_oracle_sweep_fault_in_few_pages():
+    # each oracle call solves its chunks in one workspace, a single buffer, instead of
+    # fresh stack-sized temporaries, so glibc no longer trims the heap after a chunk and
+    # faults its pages back in on the next.  A fresh interpreter at glibc's default
+    # settings (no MALLOC_* variable) reads about 3 minor faults per call of either;
+    # with fresh temporaries per chunk it read about 1,630 per check and 131 per sweep
+    import pathlib
+    import subprocess
+    import sys
+
+    # glibc's choices follow the heap's history, so the probe runs in a fixed environment
+    # (no MALLOC_* variable among it) from inside src/, whatever the caller's
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE], cwd=src,
+                           env={"PYTHONHASHSEED": "0", "LC_ALL": "C"},
+                           capture_output=True, text=True, check=True)
+    check, sweep = map(float, probe.stdout.split())
+    assert check <= 50.0, check
+    assert sweep <= 20.0, sweep

@@ -408,8 +408,8 @@ def test_evaluate_grid_names_the_failing_point():
 def test_cross_check_error_names_the_point(monkeypatch):
     real = measures._spin_flip
 
-    def shifted(eig):
-        r = real(eig)
+    def shifted(eig, work=None):
+        r = real(eig, work)
         assert r.shape == (len(eig.eigenvalues), 4) == (4, 4)  # the whole chunk of states
         return r + np.array([1e-6, 0.0, 0.0, 0.0])
 
@@ -447,10 +447,10 @@ def test_oracle_deviations_two_solves_per_point(monkeypatch):
     solved, modes = [], []  # matrices per batched call, and whether it formed eigenvectors
     real = qmatrix._unchecked_eigen
 
-    def counting(a, vectors=True):
+    def counting(a, vectors=True, work=None):
         solved.append(len(a))
         modes.append(vectors)
-        return real(a, vectors)
+        return real(a, vectors, work)
 
     # the one entry of the rho solve and of the eigenvalues-only tau solve
     monkeypatch.setattr(qmatrix, "_unchecked_eigen", counting)
@@ -474,9 +474,9 @@ def test_oracle_solves_each_distinct_state_once(monkeypatch):
     solved = []
     real = qmatrix._unchecked_eigen
 
-    def counting(a, vectors=True):
+    def counting(a, vectors=True, work=None):
         solved.append(len(a))
-        return real(a, vectors)
+        return real(a, vectors, work)
 
     monkeypatch.setattr(qmatrix, "_unchecked_eigen", counting)
     grid = measures.evaluate_grid(0.7, 0.0, np.linspace(0.0, 0.999, 1000), cross_check=True)
@@ -605,9 +605,9 @@ def test_wootters_spectrum_of_a_real_state_takes_the_float64_route(monkeypatch):
     seen = []
     real = measures._spin_flip
 
-    def recording(eig):
+    def recording(eig, work=None):
         seen.append(eig.eigenvectors.dtype)
-        return real(eig)
+        return real(eig, work)
 
     monkeypatch.setattr(measures, "_spin_flip", recording)
     deviations = measures.oracle_deviations(measures.evaluate_grid(0.6, 0.05, 0.5))
@@ -628,3 +628,87 @@ def test_spin_flip_of_real_states_matches_lapack_singular_values():
         tau = w.swapaxes(1, 2) @ measures.FLIP_OPERATOR @ w
         np.testing.assert_allclose(matrix_route_spectrum(stack),
                                    np.linalg.svd(tau, compute_uv=False), rtol=0.0, atol=1e-13)
+
+
+def test_oracle_deviations_of_a_long_grid_peak_at_one_chunk_beyond_the_result():
+    # the closed-form spectrum is built chunk by chunk in the call's workspace, so
+    # the temporaries do not grow with the grid (the whole-grid spectrum peaked at 12.8 MB)
+    grid = measures.evaluate_grid(np.linspace(0.1, 1.4, 100_000), 0.05,
+                                  np.linspace(0.0, 0.99, 100_000))
+    result_bytes = len(grid.q) * 3 * 8
+    assert _oracle_peak_bytes(grid) <= result_bytes + 2 * 1024 * 1024
+
+
+# --- the dense forms the oracle replaced, kept as references -------------------------
+
+
+def dense_spin_flip(eig):
+    """r_i from tau = W^T (sy x sy) W formed as two dense products, sorted by np.sort."""
+    p, vecs = eig
+    w = vecs * np.sqrt(np.maximum(p, 0.0))[:, None, :]
+    tau = w.swapaxes(1, 2) @ measures.FLIP_OPERATOR.real @ w
+    return -np.sort(-np.abs(measures.hermitian_eigenvalues(tau)), axis=1)
+
+
+def sorted_spin_flip_squares(theta, mu, upsilon, eta):
+    """{4 mu^2 sin^2 2theta, eta upsilon, eta upsilon, 0} stacked and sorted descending."""
+    s, c = np.sin(theta), np.cos(theta)
+    big = (2.0 * mu * (2.0 * s * c)) ** 2
+    cross = eta * upsilon
+    return -np.sort(-np.stack(np.broadcast_arrays(big, cross, cross, 0.0), axis=-1), axis=-1)
+
+
+def check_grid_chunks():
+    """The 13 chunks of ``check``'s grid, in its (nu, theta, q) order."""
+    thetas = np.linspace(0.0, math.pi / 2.0, 33)
+    nu, theta, q = (v.ravel() for v in np.meshgrid((0.0, 0.01, 0.05, 0.1), thetas,
+                                                   np.linspace(0.0, 0.999, 100), indexing="ij"))
+    for start in range(0, len(q), 1024):
+        chunk = slice(start, start + 1024)
+        yield measures.evaluate_grid(theta[chunk], nu[chunk], q[chunk])
+
+
+def real_density_matrices(count, seed):
+    """Seeded real density matrices of every rank from 1 to 4."""
+    a = np.random.default_rng(seed).standard_normal((count, 4, 4))
+    for rank in (1, 2, 3):
+        a[rank::4, rank:] = 0.0
+    rho = a @ a.swapaxes(1, 2)
+    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+
+
+def test_spin_flip_is_the_dense_flip_product_bit_for_bit():
+    # (F W)^T W with F W the reversed, signed rows of W, in a workspace as the oracle
+    # runs it and without one, against W^T F W as two dense products
+    stacks = [measures._x_state_real(g.theta, g.mu, g.upsilon, g.eta) for g in check_grid_chunks()]
+    stacks.append(real_density_matrices(2000, seed=29))
+    assert sum(map(len, stacks)) == 13200 + 2000
+    for rho in stacks:
+        eig, fault = _density_spectrum(rho)
+        assert fault is None
+        expected = dense_spin_flip(eig)
+        assert measures._spin_flip(eig).tobytes() == expected.tobytes()
+        work = measures._oracle_workspace(len(rho))
+        in_work, fault = _density_spectrum(rho, True, work)
+        assert measures._spin_flip(in_work, work).tobytes() == expected.tobytes()
+
+
+def test_closed_spin_flip_squares_are_the_sorted_stack_bit_for_bit():
+    # one comparison orders {4 mu^2 sin^2 2theta, eta upsilon, eta upsilon, 0}, ties and
+    # signed zeros included
+    for g in check_grid_chunks():
+        weights = (g.theta, g.mu, g.upsilon, g.eta)
+        assert measures._x_spin_flip_squares(*weights).tobytes() == \
+            sorted_spin_flip_squares(*weights).tobytes()
+    theta = np.array([0.3, 0.3, 0.0, math.pi / 2, 0.3, 0.0, 0.7])
+    mu = np.array([0.4, 0.4, 0.4, 0.4, 0.0, 0.0, 0.25])
+    big = (2.0 * mu * (2.0 * np.sin(theta) * np.cos(theta))) ** 2
+    eta = np.array([big[0], 0.5, 0.0, -0.0, 0.0, -0.0, big[6] / 2.0])
+    upsilon = np.array([1.0, 0.0, 0.0, 0.3, 0.0, 0.0, 2.0])
+    assert (eta * upsilon)[[0, 6]].tolist() == big[[0, 6]].tolist()  # ties
+    lam = measures._x_spin_flip_squares(theta, mu, upsilon, eta)
+    assert lam.tobytes() == sorted_spin_flip_squares(theta, mu, upsilon, eta).tobytes()
+    assert np.signbit(lam).any()  # a -0.0 kept its place
+    for i in range(len(theta)):  # scalars too
+        one = measures._x_spin_flip_squares(theta[i], mu[i], upsilon[i], eta[i])
+        assert one.shape == (4,) and one.tobytes() == lam[i].tobytes()

@@ -552,6 +552,64 @@ def test_a_partly_live_round_keeps_the_lone_bits_in_place_or_gathered(
     assert np.signbit(w).tolist() == [False, False, False, True]  # the -0.0 is an eigenvalue
 
 
+def dead_beside_live(dtype):
+    """A matrix live on (0, 1) and dead on (2, 3) in the first round, with -0.0 in the dead pair.
+
+    Its coupling at (0, 1) is rotated away in the first round, beside the
+    dead pair (2, 3).  The (3, 3) entry and every off-diagonal entry of
+    columns 2 and 3 are -0.0.  A zero-angle rotation of the dead pair forms
+    a_33 + 0.0, which would turn that -0.0, an eigenvalue, into +0.0.
+    """
+    zero = -0.0 if dtype is float else complex(-0.0, -0.0)
+    m = np.full((4, 4), zero, dtype=dtype)
+    m[0, 0], m[1, 1], m[2, 2] = 0.5, 0.25, 0.125
+    m[0, 1] = 0.3 if dtype is float else 0.3 * np.exp(0.7j)
+    m[1, 0] = np.conj(m[0, 1])
+    return m
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("dense_count", [1, 6])
+def test_a_dead_pivot_beside_a_live_one_keeps_its_bits(dtype, dense_count):
+    # each pivot is rotated only in the matrices where it is live, so the dead pair of
+    # the round keeps its -0.0, alone, rotated in place among dense matrices (six of
+    # them) or gathered with one
+    m = dead_beside_live(dtype)
+    w, v = qmatrix.hermitian_eigen(m)
+    assert np.signbit(w).tolist() == [False, False, False, True]
+    assert qmatrix.hermitian_eigenvalues(m).tobytes() == w.tobytes()
+    rng = np.random.default_rng(23)
+    dense = [random_hermitian(rng) for _ in range(dense_count)]
+    if dtype is float:
+        dense = [d.real for d in dense]
+    stack = np.array([*dense[:1], m, *dense[1:], m, m])
+    ws, vs = qmatrix.hermitian_eigen(stack)
+    for i in (1, len(stack) - 2, len(stack) - 1):
+        assert ws[i].tobytes() == w.tobytes() and vs[i].tobytes() == v.tobytes()
+    assert qmatrix.hermitian_eigenvalues(stack).tobytes() == ws.tobytes()
+
+
+def test_an_x_state_chunk_mixes_one_column_pair_per_rotated_round(monkeypatch):
+    # an X-state has one live pivot, (1, 2), in the third round of its first sweep; its
+    # (0, 3) pair beside it is dead, and its columns are left out of the mix
+    thetas = np.linspace(0.0, math.pi / 2.0, 33)
+    grid = measures.evaluate_grid(thetas[:, None], 0.05, np.linspace(0.0, 0.999, 100))
+    rho = measures._x_state_real(grid.theta[:1024], grid.mu[:1024], grid.upsilon[:1024],
+                                 grid.eta[:1024])
+    pairs = []  # column pairs per mix of the columns of [H; V], shape (parts, 8, pairs, N)
+    mix = qmatrix._mix
+
+    def recording(x, y, *rest):
+        if x.shape[1] == 8:
+            pairs.append(x.shape[2])
+        mix(x, y, *rest)
+
+    monkeypatch.setattr(qmatrix, "_mix", recording)
+    eig, fault = qmatrix._density_spectrum(rho)
+    assert fault is None
+    assert pairs == [1]
+
+
 # --- where a faulty stack is named ----------------------------------------------
 
 # the messages of each fault, as density_eigen and as hermitian_eigen give them

@@ -280,9 +280,9 @@ def test_the_spin_flip_spectrum_gets_float64_eigenvectors_on_every_oracle_call(m
     dtypes = []
     real = measures._spin_flip
 
-    def recording(eig):
+    def recording(eig, work=None):
         dtypes.append(eig.eigenvectors.dtype)
-        return real(eig)
+        return real(eig, work)
 
     monkeypatch.setattr(measures, "_spin_flip", recording)
     scan = sweep.oracle_scan()
