@@ -9,14 +9,14 @@ Two routes to the measures are kept deliberately separate:
 * one matrix route, :func:`oracle_deviations`.  It rebuilds the states in
   float64, 1,024 at a time, validates and solves each chunk's distinct
   states once (a run of bitwise identical neighbours is one state) through
-  the private form of :func:`qfesim.qmatrix.density_eigen`, takes the
+  the checked solve behind :func:`qfesim.qmatrix.density_eigen`, takes the
   entropy of that Jacobi spectrum, and runs the spin-flip construction
   C = max(0, r1 - r2 - r3 - r4), with r_i the descending eigenvalues of
   R = sqrt(sqrt(rho) rho~ sqrt(rho)) and
   rho~ = (sy x sy) conj(rho) (sy x sy), on the float64 eigenvectors.  That
   is two batched Jacobi solves per chunk, so at most two solved matrices
-  per point, and every chunk of a call is checked and solved in the same
-  workspace, allocated once per call.
+  per point, both checked, and every chunk of a call is checked and solved
+  in the same workspace, allocated once per call.
 
 The two must agree to 1e-9; ``evaluate_grid(..., cross_check=True)``
 enforces that per point for the concurrence and the entropy.  The
@@ -36,9 +36,8 @@ from .detector import JointState, _point_name, _weights_and_sines, _x_state_real
 from .qmatrix import (
     EigenDecomposition,
     _as_matrices,
-    _density_spectrum,
-    _hermitian_eigenvalues,
     _scratch,
+    _solve,
     _workspace,
     density_eigenvalues,
     hermitian_eigenvalues,
@@ -59,6 +58,10 @@ _CHUNK_POINTS = 1024  # states per batched Jacobi solve in the oracle; bounds pe
 
 class CrossCheckError(RuntimeError):
     """A closed form and the matrix route disagree beyond tolerance."""
+
+
+class _Fault(ValueError):
+    """The (index, reason) of the first faulty matrix of a stack that the oracle solves."""
 
 
 class GridValues(NamedTuple):
@@ -167,12 +170,12 @@ def oracle_deviations(grid: GridValues) -> np.ndarray:
     1,024 at a time (``_CHUNK_POINTS``).  A run of consecutive, bitwise
     identical states in a chunk is solved once and its results repeated
     (at nu = 0 the state does not depend on q).  The distinct states of a
-    chunk are checked once as a stack, by the validation of
-    :func:`~qfesim.qmatrix.density_eigen`, and cost two batched Jacobi
-    solves: one of rho, giving the entropy, and one of tau in the
-    spin-flip spectrum, for its eigenvalues only, so at most two solved
-    matrices per point.  Real states stay float64 throughout.  A
-    ValueError from the matrix route names the point, the first of its run.
+    chunk cost two batched Jacobi solves, each checked once as a stack:
+    one of rho, by the rule of :func:`~qfesim.qmatrix.density_eigen`,
+    giving the entropy, and one of tau in the spin-flip spectrum, for its
+    eigenvalues only, so at most two solved matrices per point.  Real
+    states stay float64 throughout.  A fault of a state or of its tau
+    raises ValueError naming the point, the first of its run.
 
     The call allocates one workspace, sized for a chunk (see
     :func:`qfesim.qmatrix._workspace`), and every chunk refills it: the
@@ -193,13 +196,14 @@ def oracle_deviations(grid: GridValues) -> np.ndarray:
         first = _run_starts(states)
         distinct = _scratch(work, "stack", len(first), 4, 4)
         states = states.take(first, axis=0, out=distinct, mode="clip")  # frees the built stack
-        eig, fault = _density_spectrum(states, True, work)
-        if fault is not None:
-            i, reason = fault
-            raise ValueError(
-                f"{reason} at {_point_name(grid.theta, grid.nu, grid.q, start + first[i])}")
-        entropy = _entropy_bits(eig.eigenvalues)  # before tau reuses eig's arrays
-        r = _spin_flip(eig, work)
+        try:
+            eig = _solved(states, density=True, work=work)
+            entropy = _entropy_bits(eig.eigenvalues)  # before tau reuses eig's arrays
+            r = _spin_flip(eig, work)
+        except _Fault as fault:  # of rho or of tau, whose matrix i is state i's
+            i, reason = fault.args
+            point = _point_name(grid.theta, grid.nu, grid.q, start + first[i])
+            raise ValueError(f"{reason} at {point}") from None
         if len(first) < points:
             runs = np.diff(first, append=points)
             entropy, r = np.repeat(entropy, runs), np.repeat(r, runs, axis=0)
@@ -219,6 +223,14 @@ def _oracle_workspace(size: int) -> dict:
     their tau, and ``lam`` the closed-form spectrum (see :func:`_spin_flip`).
     """
     return _workspace(size, stack=16, lam=4)
+
+
+def _solved(stack, density: bool, vectors: bool = True, work=None) -> EigenDecomposition:
+    """The eig of the checked solve of a stack (see ``qmatrix._solve``); a fault raises _Fault."""
+    _, eig, fault = _solve(stack, density, vectors, work)
+    if fault is not None:
+        raise _Fault(*fault)
+    return eig
 
 
 def _run_starts(stack: np.ndarray) -> np.ndarray:
@@ -254,7 +266,7 @@ def _spin_flip(eig: EigenDecomposition, work=None) -> np.ndarray:
     signed = flipped.reshape(size, 16)  # a view
     signed *= _FLIP_SIGNS
     tau = np.matmul(flipped.swapaxes(1, 2), w, out=_scratch(work, "stack", size, 4, 4))
-    r = np.abs(_hermitian_eigenvalues(tau, work))
+    r = np.abs(_solved(tau, density=False, vectors=False, work=work).eigenvalues)
     for i, j in _DESCENDING_4:  # the moduli are finite, so max and min only move them
         high = np.maximum(r[:, i], r[:, j])
         np.minimum(r[:, i], r[:, j], out=r[:, j])

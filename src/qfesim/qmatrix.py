@@ -8,12 +8,12 @@ with no nonzero imaginary part is checked and solved in float64, and is
 never copied to complex on the way.  A density matrix must be finite,
 Hermitian to within 1e-12, of unit trace to within 1e-12, and have
 eigenvalues above -1e-10 (anything in [-1e-10, 0) counts as roundoff).
-:func:`density_eigen` and its eigenvalues-only twin are the one place
-that rule is applied together with the solve, and the solve does not
-check the matrix again.  The one matrix route,
-:func:`qfesim.measures.oracle_deviations`, validates and solves its float64
-stacks of states through their private form, ``_density_spectrum``, and
-its taus through ``_hermitian_eigenvalues``, all in one workspace per call
+Every solve goes through one function, ``_solve``: it checks a stack
+against that rule (a Hermitian matrix for finiteness and Hermiticity
+only), solves it once and returns the first fault, which the public
+solves raise.  The one matrix route,
+:func:`qfesim.measures.oracle_deviations`, calls it for its float64
+stacks of states and of taus, all in one workspace per call
 (``_workspace``), whose arrays every chunk refills.
 """
 
@@ -86,17 +86,6 @@ def _as_matrices(a) -> np.ndarray:
     return m
 
 
-def _real_view(stack: np.ndarray) -> np.ndarray:
-    """The stack, viewed as float64 when no imaginary part is nonzero."""
-    return stack.real if np.iscomplexobj(stack) and not stack.imag.any() else stack
-
-
-def _public(m: np.ndarray, eig: EigenDecomposition) -> EigenDecomposition:
-    """eig with complex128 eigenvectors, and unstacked when m is one matrix."""
-    eig = EigenDecomposition(eig.eigenvalues, eig.eigenvectors.astype(np.complex128, copy=False))
-    return eig if m.ndim == 3 else EigenDecomposition(*(part[0] for part in eig))
-
-
 def _in_stack(m: np.ndarray, index: int) -> str:
     return f" (matrix {index} of the stack)" if m.ndim == 3 else ""
 
@@ -131,63 +120,54 @@ def _hermitian_fault(stack: np.ndarray, reason: str, work=None):
     return i, f"{reason}: max |M - M+| = {defect[i]:.3e}"
 
 
-def _density_fault(stack: np.ndarray, work=None):
-    """(index, reason) of the first non-finite, non-Hermitian, then not unit-trace matrix."""
-    fault = (_finite_fault(stack)
-             or _hermitian_fault(stack, "density matrix must be Hermitian", work))
-    if fault is not None:
-        return fault
+def _trace_fault(stack: np.ndarray):
+    """(index, reason) of the first matrix whose trace is off 1 by more than 1e-12."""
     trace = np.trace(stack, axis1=1, axis2=2)
     i = _first(np.abs(trace - 1.0) > TRACE_TOL)
-    if i is not None:
-        return i, f"density matrix must have unit trace, got {complex(trace[i])}"
-    return None
+    return None if i is None else (
+        i, f"density matrix must have unit trace, got {complex(trace[i])}")
 
 
 def _psd_fault(w: np.ndarray):
     """(index, reason) of the first row of descending spectra w below the floor."""
     i = _first(w[:, -1] < EIGENVALUE_FLOOR)
-    if i is not None:
-        return i, (f"density matrix must be positive semidefinite: "
-                   f"smallest eigenvalue {w[i, -1]:.3e}")
-    return None
+    return None if i is None else (i, "density matrix must be positive semidefinite: "
+                                      f"smallest eigenvalue {w[i, -1]:.3e}")
 
 
-def _reject(m: np.ndarray, fault) -> None:
+def _solve(a, density: bool, vectors: bool = True, work=None):
+    """(m, eig, fault): ``a`` as matrices, and its checked solve as a stack (N, n, n).
+
+    ``fault`` is the (index, reason) of the first matrix of the stack that
+    is not finite or Hermitian to within 1e-12 or, for a ``density``
+    matrix, not of unit trace or, after the one solve, below the PSD
+    floor, else None; ``eig`` is None when the solve never ran.  A stack
+    with no nonzero imaginary part is checked and solved in float64, in
+    ``work`` when given (see :func:`_workspace`), and gives float64
+    eigenvectors.  Without ``vectors`` the solve forms no eigenvector.
+    """
+    m = _as_matrices(a)
+    stack = m.reshape(-1, *m.shape[-2:])
+    if np.iscomplexobj(stack) and not stack.imag.any():
+        stack = stack.real
+    hermitian = ("density matrix must be Hermitian" if density
+                 else f"matrix must be Hermitian within {HERMITIAN_TOL:g}")
+    fault = (_finite_fault(stack) or _hermitian_fault(stack, hermitian, work)
+             or (_trace_fault(stack) if density else None))
+    if fault is not None:
+        return m, None, fault
+    eig = _unchecked_eigen(stack, vectors, work)
+    return m, eig, _psd_fault(eig.eigenvalues) if density else None
+
+
+def _checked(a, density: bool, vectors: bool = True) -> EigenDecomposition:
+    """:func:`_solve` with its fault raised, complex128 eigenvectors, unstacked for one matrix."""
+    m, eig, fault = _solve(a, density, vectors)
     if fault is not None:
         raise ValueError(fault[1] + _in_stack(m, fault[0]))
-
-
-def _density_spectrum(stack: np.ndarray, vectors: bool = True, work=None):
-    """(eig, fault) of a stack of density matrices, shape (N, n, n).
-
-    ``fault`` is the (index, reason) of the first matrix that is not
-    finite, Hermitian or of unit trace or, after the one solve, below the
-    PSD floor, else None; ``eig`` is None when the solve never ran.  A
-    stack with no nonzero imaginary part is checked and solved in float64
-    and gives float64 eigenvectors, checked and solved in ``work`` when
-    given (see :func:`_workspace`).  Without ``vectors`` the solve forms
-    no eigenvector (see :func:`_jacobi`).
-    """
-    stack = _real_view(stack)
-    fault = _density_fault(stack, work)
-    if fault is not None:
-        return None, fault
-    eig = _unchecked_eigen(stack, vectors, work)
-    return eig, _psd_fault(eig.eigenvalues)
-
-
-def _density_solve(rho, vectors: bool = True):
-    """(m, eig): ``rho`` as matrices, and the eig of :func:`_density_spectrum` of it as a stack.
-
-    A fault raises ValueError naming the violated property and, for a
-    stack, the first offending matrix.  A real ``rho`` keeps float64
-    eigenvectors.
-    """
-    m = _as_matrices(rho)
-    eig, fault = _density_spectrum(m.reshape(-1, *m.shape[-2:]), vectors)
-    _reject(m, fault)
-    return m, eig
+    at = slice(None) if m.ndim == 3 else 0
+    w, v = eig
+    return EigenDecomposition(w[at], None if v is None else v[at].astype(np.complex128, copy=False))
 
 
 def density_eigen(rho) -> EigenDecomposition:
@@ -199,7 +179,7 @@ def density_eigen(rho) -> EigenDecomposition:
     property and, for a stack, the first offending matrix.  One matrix
     gives the bits of a stack of one.
     """
-    return _public(*_density_solve(rho))
+    return _checked(rho, True)
 
 
 def density_eigenvalues(rho) -> np.ndarray:
@@ -207,15 +187,15 @@ def density_eigenvalues(rho) -> np.ndarray:
 
     Same checks, sweeps and PSD floor, but no eigenvector is accumulated.
     """
-    m, eig = _density_solve(rho, vectors=False)
-    return eig.eigenvalues if m.ndim == 3 else eig.eigenvalues[0]
+    return _checked(rho, True, vectors=False).eigenvalues
 
 
 def _mix(x, y, c, sigma, live=None) -> None:
     """x, y <- c x - conj(sigma) y, sigma x + c y, in place; complex as (re[, im]) on axis 0.
 
     Only where ``live`` (which broadcasts against x) is true, when it is
-    given; elsewhere x and y keep every bit.
+    given; elsewhere x and y keep every bit.  A masked mix copies the new
+    x and y in under the mask rather than building a masked result.
     """
     sr = sigma[0]
     if len(sigma) == 1:
@@ -231,8 +211,8 @@ def _mix(x, y, c, sigma, live=None) -> None:
         y *= c
         y += sigma_x
     else:  # the new x and y in place of conj_y and sigma_x
-        x[...] = np.where(live, np.subtract(x * c, conj_y, out=conj_y), x)
-        y[...] = np.where(live, np.add(y * c, sigma_x, out=sigma_x), y)
+        np.copyto(x, np.subtract(x * c, conj_y, out=conj_y), where=live)
+        np.copyto(y, np.add(y * c, sigma_x, out=sigma_x), where=live)
 
 
 def _rotate(hv: np.ndarray, n: int, pivots: dict, a, r, live) -> None:
@@ -273,22 +253,23 @@ def _rotate(hv: np.ndarray, n: int, pivots: dict, a, r, live) -> None:
         h[0, q, q] = np.where(mask, aqq + tr, aqq)
 
 
-def _sweep(hv: np.ndarray, n: int) -> None:
+def _sweep(hv: np.ndarray, n: int, done: np.ndarray) -> None:
     """One cyclic Jacobi sweep, in place, over hv = [H; V] of shape (parts, 2n, n, N), or H alone.
 
     Per round, each pivot is rotated in exactly the matrices where it has a
-    magnitude of at least 1e-18 (see :func:`_rotate`).  When more than half
-    of the matrices have a live pivot, the whole stack is rotated in place;
-    otherwise those are gathered (with the matrix axis still innermost) and
-    scattered back, or none is rotated.  The round then zeroes every pivot
-    and the imaginary diagonal of every matrix, so a matrix's bits depend
-    on its own entries.
+    magnitude of at least 1e-18 and that are not ``done`` (see
+    :func:`_rotate`), so a converged matrix is rotated on no pivot.  When
+    more than half of the matrices have a live pivot, the whole stack is
+    rotated in place; otherwise those are gathered (with the matrix axis
+    still innermost) and scattered back, or none is rotated.  The round
+    then zeroes every pivot and the imaginary diagonal of every matrix, so
+    a matrix's bits depend on its own entries.
     """
     h = hv[:, :n]
     for (_, _, p, q, pivots), live_pivots in _ROUNDS[n]:
         a = h[:, p, q]
         r = np.sqrt(sum(a * a))
-        live = r >= _TINY_PIVOT
+        live = (r >= _TINY_PIVOT) & ~done
         rotated = live.any(axis=0)
         count = np.count_nonzero(rotated)
         if 2 * count > len(rotated):
@@ -340,15 +321,14 @@ def _jacobi(parts, vectors: bool, work=None) -> EigenDecomposition:
     ``parts`` holds the real and, for complex matrices, the imaginary part
     of the stack, each of shape (N, n, n); one part gives float64
     eigenvectors.  Without ``vectors`` only H is rotated, and the
-    eigenvectors are None.  Every matrix is checked before each sweep and
-    set aside once its off-diagonal Frobenius mass is at most 1e-14, so its
-    result does not depend on the rest of the stack.  The sweeps work on
-    one array with the matrix axis innermost, and ``take`` keeps it so when
-    matrices are set aside; a stack that converges all at once is read out
-    through a slice.  With a :func:`_workspace` (one part only), the solve
-    allocates no stack-sized array, save the rest of [H; V] when some
-    matrices with eigenvectors are set aside early, and its results are
-    views of the workspace, valid until its next solve.
+    eigenvectors are None.  Every matrix is checked before each sweep, and
+    once its off-diagonal Frobenius mass is at most 1e-14 it is rotated no
+    more (see :func:`_sweep`), so its result does not depend on the rest of
+    the stack.  The sweeps work on one array with the matrix axis
+    innermost, and w and V are read out of it once, after the last sweep.
+    With a :func:`_workspace` (one part only), the solve allocates no
+    stack-sized array, and its results are views of the workspace, valid
+    until its next solve.
     """
     count = len(parts)
     size, n = parts[0].shape[:2]
@@ -361,41 +341,22 @@ def _jacobi(parts, vectors: bool, work=None) -> EigenDecomposition:
     if vectors:
         hv[1:, n:] = 0.0
         hv[0, n:] = np.eye(n)[:, :, None]
-        unsorted = _scratch(work, "vectors", count, size, n, n)  # the parts of each V, row-major
-    w = _scratch(work, "w", size, n)
-    live = np.arange(size)
-    # H alone fills half of hv's region, so a sub-stack set aside goes to the other half
-    halves = None if work is None or vectors else np.split(work["hv"], 2)
     for _ in range(_MAX_SWEEPS):
         done = _converged(hv, n)
-        last = done.all()  # an empty stack too
-        if last or done.any():
-            # once every matrix is done, hv is retired whole, with no gather
-            if not last:
-                at, retired = live[done], hv.compress(done, axis=-1)
-            else:  # a slice, not an index array, when no matrix was set aside earlier
-                at, retired = (slice(None) if len(live) == size else live), hv
-            w[at] = retired[0].diagonal(axis1=0, axis2=1)
-            if vectors:
-                unsorted[:, at] = retired[:, n:].transpose(0, 3, 1, 2)
-            if last:
-                break
-            live, keep = live[~done], np.flatnonzero(~done)
-            if halves is None:
-                hv = hv.take(keep, axis=-1)
-            else:
-                halves.reverse()
-                shape = (*hv.shape[:-1], len(keep))
-                into = halves[0][: math.prod(shape)].reshape(shape)
-                hv = hv.take(keep, axis=-1, out=into, mode="clip")
-        _sweep(hv, n)
+        if done.all():  # an empty stack too
+            break
+        _sweep(hv, n, done)
     else:
         raise RuntimeError("Jacobi iteration failed to converge within 100 sweeps")
+    w = _scratch(work, "w", size, n)
+    w[...] = hv[0].diagonal(axis1=0, axis2=1)
     order = np.argsort(-w, axis=1, kind="stable")
     values = w.take(np.arange(0, size * n, n)[:, None] + order,
                     out=_scratch(work, "values", size, n), mode="clip")
     if not vectors:
         return EigenDecomposition(values, None)
+    unsorted = _scratch(work, "vectors", count, size, n, n)  # the parts of each V, row-major
+    unsorted[...] = hv[:, n:].transpose(0, 3, 1, 2)
     # one take sorts each V's columns, into hv, which is free once the sweeps are done
     columns = np.arange(0, size * n * n, n).reshape(size, n, 1) + order[:, None, :]
     if count == 1:
@@ -437,13 +398,14 @@ def hermitian_eigen(a) -> EigenDecomposition:
     its result is bit for bit the one it gets alone: a pivot below 1e-18
     in a matrix is not rotated in it, whatever the round's other pivots
     are, and the rule reads the matrix's own entries only.  A real matrix
-    is rotated in real arithmetic.  Sweeps stop once the off-diagonal Frobenius mass falls to
-    1e-14, with a hard cap of 100 sweeps (never reached for valid input).
+    is rotated in real arithmetic.  A matrix is rotated no more once its
+    off-diagonal Frobenius mass falls to 1e-14, and the sweeps stop once
+    every matrix's has, with a hard cap of 100 sweeps (never reached for
+    valid input).
     Eigenvalues come back sorted descending, ties keeping their diagonal
     order, with the eigenvector columns permuted to match.
     """
-    m, stack = _hermitian_stack(a)
-    return _public(m, _unchecked_eigen(stack))
+    return _checked(a, False)
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
@@ -452,23 +414,7 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     Same checks and sweeps, but no eigenvector is accumulated, and a real
     input is checked and solved in float64 without a complex copy.
     """
-    return _hermitian_eigenvalues(a)
-
-
-def _hermitian_eigenvalues(a, work=None) -> np.ndarray:
-    """:func:`hermitian_eigenvalues`, a real input checked and solved in ``work`` if given."""
-    m, stack = _hermitian_stack(a, work)
-    w = _unchecked_eigen(stack, False, work).eigenvalues
-    return w if m.ndim == 3 else w[0]
-
-
-def _hermitian_stack(a, work=None):
-    """(m, stack): ``a`` as matrices, and as a stack (see :func:`_real_view`) found finite and Hermitian."""
-    m = _as_matrices(a)
-    stack = _real_view(m.reshape(-1, *m.shape[-2:]))
-    _reject(m, _finite_fault(stack)
-            or _hermitian_fault(stack, f"matrix must be Hermitian within {HERMITIAN_TOL:g}", work))
-    return m, stack
+    return _checked(a, False, vectors=False).eigenvalues
 
 
 def matrix_sqrt_psd(a) -> np.ndarray:

@@ -9,13 +9,18 @@ stderr of argparse's usage errors (a missing verb, an unknown verb or flag,
 a bad choice or value, a flag given a value it does not take), at an
 80-column width.  That text is Python's own and its wording varies between
 Python versions, so it is compared only under the version that wrote it.
-Regenerate with:
+``tests/golden/check_deviations.sha256`` pins the bits of every per-point
+deviation behind ``check`` (``oracle_deviations`` over the 13,200 points
+of ``oracle_scan``), of which ``check.csv`` prints only the maxima; a
+change that moves one of them announces it and regenerates the digest
+with the files.  Regenerate with:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
 import gzip
+import hashlib
 import io
 import os
 import pathlib
@@ -24,7 +29,7 @@ from unittest import mock
 
 import pytest
 
-from qfesim import cli
+from qfesim import cli, sweep
 
 GOLDEN_DIR = pathlib.Path(__file__).with_name("golden")
 
@@ -74,6 +79,7 @@ USAGE_CASES = (
 )
 USAGE_GOLDEN = GOLDEN_DIR / "usage_errors.txt"
 USAGE_PYTHON = (3, 11)  # the version whose argparse wrote USAGE_GOLDEN
+DEVIATIONS_GOLDEN = GOLDEN_DIR / "check_deviations.sha256"
 
 
 def usage_transcript() -> str:
@@ -88,6 +94,21 @@ def usage_transcript() -> str:
                 code = exc.code
         parts.append(f"$ {' '.join(['qfesim', *argv])}\nexit {code}\n{err.getvalue()}")
     return "".join(parts)
+
+
+def check_deviations_sha256() -> str:
+    """SHA-256 of the deviations ``check`` computes, float64 (13200, 3) in grid order."""
+    digest = hashlib.sha256()
+    real = sweep.oracle_deviations
+
+    def hashing(grid):
+        deviations = real(grid)
+        digest.update(deviations.tobytes())
+        return deviations
+
+    with mock.patch.object(sweep, "oracle_deviations", hashing):
+        assert sweep.oracle_scan().points == 13200
+    return digest.hexdigest()
 
 
 def golden_path(name: str) -> pathlib.Path:
@@ -120,6 +141,10 @@ def test_usage_errors_match_golden(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_check_deviations_match_golden_digest():
+    assert check_deviations_sha256() + "\n" == DEVIATIONS_GOLDEN.read_text(encoding="ascii")
+
+
 def _regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in CASES.items():
@@ -130,6 +155,8 @@ def _regenerate() -> None:
             raise SystemExit(f"{name}: exit status {code}")
         write_golden(name, buffer.getvalue().encode("ascii"))
         print(f"wrote {golden_path(name)}", file=sys.stderr)
+    DEVIATIONS_GOLDEN.write_text(check_deviations_sha256() + "\n", encoding="ascii")
+    print(f"wrote {DEVIATIONS_GOLDEN}", file=sys.stderr)
     if sys.version_info[:2] == USAGE_PYTHON:
         USAGE_GOLDEN.write_bytes(usage_transcript().encode("ascii"))
         print(f"wrote {USAGE_GOLDEN}", file=sys.stderr)

@@ -5,7 +5,7 @@ import pytest
 
 from qfesim import measures
 from qfesim.detector import DetectorParams, build_final_state
-from qfesim.qmatrix import _density_spectrum
+from qfesim.qmatrix import _solve
 
 # frozen from high-precision evaluation of the closed forms
 C_WORKED = 0.9927416847761567        # (800 - 2*sqrt(2)) / 803
@@ -46,7 +46,7 @@ def matrix_route_spectrum(rho):
     # the oracle's route: _spin_flip on the float64 eigenvectors of a validated float64 stack
     rho = np.asarray(rho)
     assert not np.iscomplexobj(rho) or not rho.imag.any()
-    eig, fault = _density_spectrum(np.ascontiguousarray(rho.real).reshape(-1, 4, 4))
+    _, eig, fault = _solve(np.ascontiguousarray(rho.real).reshape(-1, 4, 4), True)
     assert fault is None and eig.eigenvectors.dtype == np.float64
     return measures._spin_flip(eig)
 
@@ -599,6 +599,28 @@ def test_oracle_names_the_point_of_a_non_finite_state(monkeypatch):
         measures.oracle_deviations(grid)
 
 
+@pytest.mark.parametrize("entry, factor, index, reason", [
+    (5, np.nan, 0, "matrix entries must be finite"),
+    (2, 1.0 + 1e-3, 1500, "matrix must be Hermitian within 1e-12: max |M - M+| = "),
+], ids=["non-finite", "non-Hermitian"])
+def test_a_tau_fault_names_the_first_point_of_its_run(entry, factor, index, reason, monkeypatch):
+    # tau's faults take the point-naming path of rho's.  A NaN among the flip's signs
+    # makes every tau non-finite; scaling one sign makes the tau of every mixed state
+    # non-symmetric, while a pure state's (W of rank one) stays symmetric.  At nu = 0 the
+    # state is pure and does not depend on q, so the first 1,500 points are runs of one
+    # state, and point 1,500, the first mixed one, is the second distinct state of its chunk
+    qs = np.linspace(0.0, 0.9, 3000)
+    grid = measures.evaluate_grid(0.6, np.where(np.arange(3000) < 1500, 0.0, 0.05), qs)
+    signs = measures._FLIP_SIGNS.copy()
+    signs[entry] *= factor
+    monkeypatch.setattr(measures, "_FLIP_SIGNS", signs)
+    with pytest.raises(ValueError) as error:
+        measures.oracle_deviations(grid)
+    assert str(error.value).startswith(reason)
+    point = f"(0.6, {float(grid.nu[index])!r}, {float(qs[index])!r})"
+    assert str(error.value).endswith(f"at (theta, nu, q) = {point}")
+
+
 def test_wootters_spectrum_of_a_real_state_takes_the_float64_route(monkeypatch):
     # oracle_deviations rebuilds the states as a float64 stack, so _spin_flip gets
     # float64 eigenvectors and forms tau in real arithmetic
@@ -684,12 +706,12 @@ def test_spin_flip_is_the_dense_flip_product_bit_for_bit():
     stacks.append(real_density_matrices(2000, seed=29))
     assert sum(map(len, stacks)) == 13200 + 2000
     for rho in stacks:
-        eig, fault = _density_spectrum(rho)
+        _, eig, fault = _solve(rho, True)
         assert fault is None
         expected = dense_spin_flip(eig)
         assert measures._spin_flip(eig).tobytes() == expected.tobytes()
         work = measures._oracle_workspace(len(rho))
-        in_work, fault = _density_spectrum(rho, True, work)
+        _, in_work, fault = _solve(rho, True, True, work)
         assert measures._spin_flip(in_work, work).tobytes() == expected.tobytes()
 
 

@@ -321,9 +321,9 @@ def test_x_states_among_dense_matrices_bit_for_bit(monkeypatch):
     rounds = []  # per sweep: matrices in it, and the matrices rotated in each rotating round
     sweep, rotate = qmatrix._sweep, qmatrix._rotate
 
-    def recording_sweep(hv, n):
+    def recording_sweep(hv, n, done):
         rounds.append((hv.shape[-1], []))
-        sweep(hv, n)
+        sweep(hv, n, done)
 
     def recording_rotate(hv, *rest):
         rounds[-1][1].append(hv.shape[-1])
@@ -363,7 +363,7 @@ def test_real_eigenpairs_of_the_check_grid_are_accurate():
     for nu in (0.0, 0.01, 0.05, 0.1):
         grid = measures.evaluate_grid(thetas[:, None], nu, np.linspace(0.0, 0.999, 100))
         rho = x_state_rho(grid.theta, grid.mu, grid.upsilon, grid.eta)
-        (w, v), fault = qmatrix._density_spectrum(rho)
+        _, (w, v), fault = qmatrix._solve(rho, True)
         assert fault is None and v.dtype == np.float64
         residual = np.linalg.norm(rho.real @ v - v * w[:, None, :], axis=1)
         orthogonality = np.abs(v.swapaxes(1, 2) @ v - np.eye(4))
@@ -436,11 +436,11 @@ def test_check_density_matrix_is_gone():
         from qfesim.qmatrix import check_density_matrix  # noqa: F401
 
 
-# --- gathered and retired sub-stacks ----------------------------------------------
+# --- gathered sub-stacks and converged matrices ------------------------------------
 
 
 def jacobi_path_stack(dtype):
-    """Matrices set aside before the first sweep, after one sweep and after several.
+    """Matrices converged before the first sweep, after one sweep and after several.
 
     A near-diagonal matrix is converged from the start; an X-state with its one
     coherence at (1, 2) has no live pivot in the first two rounds of a sweep, so
@@ -460,35 +460,53 @@ def jacobi_path_stack(dtype):
     return np.array([x, dense[0], near, x * 0.5, dense[1], near * 2.0, dense[2], x])
 
 
+def gathered_columns(sub: np.ndarray, full: np.ndarray) -> list:
+    """The matrices (last axis) of ``full`` that ``sub`` gathers, matched bit for bit in order."""
+    if sub is full:
+        return list(range(full.shape[-1]))
+    columns, k = [], 0
+    for j in range(sub.shape[-1]):
+        while full[..., k].tobytes() != sub[..., j].tobytes():
+            k += 1
+        columns.append(k)
+        k += 1
+    return columns
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_gathered_and_retired_matrices_keep_their_lone_bits(dtype, monkeypatch):
-    # the sweeps see one array with the matrix axis innermost and contiguous, whole,
-    # gathered for a round or shrunk as matrices converge, and each matrix's bits are
-    # still the ones it gets alone
+    # the sweeps see one array with the matrix axis innermost and contiguous, whole or
+    # gathered for a round; a matrix converged at the start of a sweep is live on no
+    # pivot of it, and each matrix's bits are still the ones it gets alone
     stack = jacobi_path_stack(dtype)
-    sweeps = []  # per sweep: matrices in it, and the matrices rotated in each rotating round
+    sweeps = []  # per sweep: [H; V], the converged matrices, and each round's live mask
     sweep, rotate = qmatrix._sweep, qmatrix._rotate
 
-    def recording_sweep(hv, n):
+    def recording_sweep(hv, n, done):
         assert hv.strides[-1] == hv.itemsize
-        sweeps.append((hv.shape[-1], []))
-        sweep(hv, n)
+        sweeps.append((hv, done.copy(), []))
+        sweep(hv, n, done)
 
-    def recording_rotate(hv, *rest):
-        arrays = [hv, *(x for x in rest[2:] if x is not None)]  # and a, r and live
-        assert all(x.strides[-1] == x.itemsize for x in arrays)
-        sweeps[-1][1].append(hv.shape[-1])
-        rotate(hv, *rest)
+    def recording_rotate(hv, n, pivots, a, r, live):
+        assert all(x.strides[-1] == x.itemsize for x in (hv, a, r, live))
+        full, _, masks = sweeps[-1]
+        mask = np.zeros((len(live), full.shape[-1]), dtype=bool)  # per pivot, in stack rows
+        mask[:, gathered_columns(hv, full)] = live
+        masks.append((hv.shape[-1], mask))
+        rotate(hv, n, pivots, a, r, live)
 
     monkeypatch.setattr(qmatrix, "_sweep", recording_sweep)
     monkeypatch.setattr(qmatrix, "_rotate", recording_rotate)
     for solve in (qmatrix.hermitian_eigen, qmatrix.hermitian_eigenvalues):
         sweeps.clear()
         result = solve(stack)
-        sizes = [size for size, _ in sweeps]
-        assert sizes[0] == len(stack) - 2  # the near-diagonal ones before the first sweep
-        assert len(stack) - 5 in sizes and sizes[-1] < sizes[0]  # the X-states after one
-        assert any(0 < k < size for size, rotated in sweeps for k in rotated)  # gathered
+        assert all(full.shape[-1] == len(stack) for full, _, _ in sweeps)  # never shrunk
+        assert np.flatnonzero(sweeps[0][1]).tolist() == [2, 5]  # the near-diagonal ones
+        assert np.flatnonzero(sweeps[1][1]).tolist() == [0, 2, 3, 5, 7]  # and the X-states
+        for _, done, masks in sweeps:
+            assert masks and not any(mask[:, done].any() for _, mask in masks)
+        assert not any(mask[:, [2, 5]].any() for _, _, masks in sweeps for _, mask in masks)
+        assert any(0 < k < len(stack) for _, _, masks in sweeps for k, _ in masks)  # gathered
         for i, matrix in enumerate(stack):
             alone = solve(matrix)
             pairs = zip(result, alone) if isinstance(alone, tuple) else [(result, alone)]
@@ -527,9 +545,9 @@ def test_a_partly_live_round_keeps_the_lone_bits_in_place_or_gathered(
     rounds = []  # (matrices in the sweep, matrices rotated) per rotating round, in order
     sweep, rotate = qmatrix._sweep, qmatrix._rotate
 
-    def recording_sweep(hv, n):
+    def recording_sweep(hv, n, done):
         rounds.append((hv.shape[-1], []))
-        sweep(hv, n)
+        sweep(hv, n, done)
 
     def recording_rotate(hv, *rest):
         rounds[-1][1].append(hv.shape[-1])
@@ -605,7 +623,7 @@ def test_an_x_state_chunk_mixes_one_column_pair_per_rotated_round(monkeypatch):
         mix(x, y, *rest)
 
     monkeypatch.setattr(qmatrix, "_mix", recording)
-    eig, fault = qmatrix._density_spectrum(rho)
+    _, eig, fault = qmatrix._solve(rho, True)
     assert fault is None
     assert pairs == [1]
 

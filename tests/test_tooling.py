@@ -5,13 +5,13 @@
   independent reference.
 * The density-matrix rule (its tolerances, its fault finders and the
   stack-index suffix of its errors) lives in ``qmatrix`` alone; every other
-  module reaches it through ``density_eigen``, ``density_eigenvalues``,
-  ``_density_solve`` or ``_density_spectrum``.
+  module reaches it through ``density_eigen``, ``density_eigenvalues`` or
+  the one checked solve, ``_solve``.
 * So does the unchecked solve (``_unchecked_eigen`` and ``_jacobi``, with
   or without eigenvectors), which trusts its caller to have validated the
   stack; every other module solves through ``hermitian_eigen``,
-  ``hermitian_eigenvalues`` or the density solves above, each of which
-  takes an eigenvalues-only form.
+  ``hermitian_eigenvalues``, the density solves above or ``_solve``, each
+  of which takes an eigenvalues-only form.
 * ``qmatrix`` loads no stack through a ``[..., index]`` subscript, an index
   array or mask after an ellipsis: numpy puts the indexed axis outermost in
   memory, so every later sweep over such a sub-stack would loop over an
@@ -53,7 +53,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "qfesim").glob("*.py"))
 FORBIDDEN_PACKAGES = {"scipy", "mpmath", "sympy", "hypothesis"}
 DENSITY_RULE_NAMES = {"EIGENVALUE_FLOOR", "HERMITIAN_TOL", "TRACE_TOL",
-                      "_density_fault", "_psd_fault", "_in_stack"}
+                      "_trace_fault", "_psd_fault", "_in_stack"}
 UNCHECKED_SOLVE_NAMES = {"_unchecked_eigen", "_jacobi"}
 
 
@@ -132,14 +132,14 @@ def test_only_qmatrix_names_the_density_matrix_rule():
 def test_density_rule_scan_catches_each_form():
     for source in (
         "from .qmatrix import EIGENVALUE_FLOOR",
-        "from .qmatrix import _density_fault as fault",
+        "from .qmatrix import _trace_fault as fault",
         "from . import qmatrix\nqmatrix._psd_fault(w)",
         "if defect > HERMITIAN_TOL: pass",
         "qfesim.qmatrix.TRACE_TOL",
         "_in_stack(m, 0)",
     ):
         assert _uses(ast.parse(source), DENSITY_RULE_NAMES), source
-    assert not _uses(ast.parse("from .qmatrix import _density_spectrum"), DENSITY_RULE_NAMES)
+    assert not _uses(ast.parse("from .qmatrix import _solve"), DENSITY_RULE_NAMES)
 
 
 def test_only_qmatrix_names_the_unchecked_solve():
@@ -157,10 +157,10 @@ def test_unchecked_solve_scan_catches_each_form():
         "solve = _jacobi",
     ):
         assert _uses(ast.parse(source), UNCHECKED_SOLVE_NAMES), source
-    for source in ("from .qmatrix import hermitian_eigen, _density_spectrum",
+    for source in ("from .qmatrix import hermitian_eigen, _solve",
                    "qmatrix.density_eigen(rho)", "qmatrix.hermitian_eigenvalues(tau)",
-                   "qmatrix._density_spectrum(rho, vectors=False)",
-                   "qmatrix._density_solve(rho, vectors=False)",
+                   "qmatrix._solve(rho, True, vectors=False)",
+                   "qmatrix._solve(tau, False, False, work)",
                    "qmatrix.density_eigenvalues(rho)"):
         assert not _uses(ast.parse(source), UNCHECKED_SOLVE_NAMES), source
 
