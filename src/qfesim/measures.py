@@ -18,8 +18,9 @@ Two routes to the measures are kept deliberately separate:
   per point, both checked, and every chunk of a call is checked and solved
   in the same workspace, allocated once per call.
 
-The two must agree to 1e-9; ``evaluate_grid(..., cross_check=True)``
-enforces that per point for the concurrence and the entropy.  The
+The two must agree to 1e-9 per point in the concurrence and the entropy.
+One gate, ``_gate``, enforces that, for ``evaluate_grid(...,
+cross_check=True)`` and for :func:`qfesim.sweep.oracle_scan` alike.  The
 pure-state helpers and :func:`von_neumann_entropy` validate their input
 through :func:`qfesim.qmatrix.density_eigenvalues`.
 Entropies and fluctuations are in bits.
@@ -137,8 +138,8 @@ def evaluate_grid(theta, nu, q, *, cross_check: bool = False) -> GridValues:
     {2 mu, 0}.
 
     With ``cross_check`` each point's concurrence and entropy are compared
-    with the matrix route (:func:`oracle_deviations`); a deviation beyond
-    1e-9 (``CROSS_CHECK_TOL``) raises :class:`CrossCheckError` naming the point.
+    with the matrix route (:func:`oracle_deviations`); a deviation that is
+    not at most 1e-9 raises :class:`CrossCheckError` naming the point.
     """
     points = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (theta, nu, q)))
     theta, nu, q = (np.ravel(v) for v in points)
@@ -148,17 +149,21 @@ def evaluate_grid(theta, nu, q, *, cross_check: bool = False) -> GridValues:
     qfe, ratio = _qfe_and_ratio(c)
     grid = GridValues(q, theta, nu, mu, upsilon, eta, c, entropy, qfe, ratio)
     if cross_check:
-        deviations = oracle_deviations(grid)[:, :2]
-        bad = deviations > CROSS_CHECK_TOL
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            name, closed = (("concurrence", c), ("entropy", entropy))[j]
-            raise CrossCheckError(
-                f"closed-form {name} {float(closed[i])!r} deviates from the matrix route "
-                f"by {deviations[i, j]:.3e} (tolerance {CROSS_CHECK_TOL:g}) "
-                f"at {_point_name(theta, nu, q, i)}"
-            )
+        _gate(grid, oracle_deviations(grid))
     return grid
+
+
+def _gate(grid: GridValues, deviations: np.ndarray) -> None:
+    """CrossCheckError at the first point of ``grid`` whose C or S deviation is not <= 1e-9."""
+    bad = ~(deviations[:, :2] <= CROSS_CHECK_TOL)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        name, closed = (("concurrence", grid.concurrence), ("entropy", grid.entropy))[j]
+        raise CrossCheckError(
+            f"closed-form {name} {float(closed[i])!r} deviates from the matrix route "
+            f"by {deviations[i, j]:.3e} (tolerance {CROSS_CHECK_TOL:g}) "
+            f"at {_point_name(grid.theta, grid.nu, grid.q, i)}"
+        )
 
 
 def oracle_deviations(grid: GridValues) -> np.ndarray:

@@ -190,17 +190,18 @@ def density_eigenvalues(rho) -> np.ndarray:
     return _checked(rho, True, vectors=False).eigenvalues
 
 
-def _mix(x, y, c, sigma, live=None) -> None:
+def _mix(x, y, c, sigma, live=None, work=None) -> None:
     """x, y <- c x - conj(sigma) y, sigma x + c y, in place; complex as (re[, im]) on axis 0.
 
     Only where ``live`` (which broadcasts against x) is true, when it is
     given; elsewhere x and y keep every bit.  A masked mix copies the new
-    x and y in under the mask rather than building a masked result.
+    x and y in under the mask rather than building a masked result.  A
+    real mix keeps its temporaries in the regions of ``work``, when given.
     """
     sr = sigma[0]
     if len(sigma) == 1:
-        sigma_x = sr * x
-        conj_y = sr * y
+        sigma_x = np.multiply(sr, x, out=_scratch(work, "sigma_x", *x.shape))
+        conj_y = np.multiply(sr, y, out=_scratch(work, "conj_y", *y.shape))
     else:
         k = _FLIP * sigma[1]  # conj(sigma) y = sr y + k swap(y) and sigma x = sr x - k swap(x)
         sigma_x = sr * x - k * x[::-1]
@@ -211,11 +212,12 @@ def _mix(x, y, c, sigma, live=None) -> None:
         y *= c
         y += sigma_x
     else:  # the new x and y in place of conj_y and sigma_x
-        np.copyto(x, np.subtract(x * c, conj_y, out=conj_y), where=live)
-        np.copyto(y, np.add(y * c, sigma_x, out=sigma_x), where=live)
+        cx = _scratch(work, "cx", *x.shape)
+        np.copyto(x, np.subtract(np.multiply(x, c, out=cx), conj_y, out=conj_y), where=live)
+        np.copyto(y, np.add(np.multiply(y, c, out=cx), sigma_x, out=sigma_x), where=live)
 
 
-def _rotate(hv: np.ndarray, n: int, pivots: dict, a, r, live) -> None:
+def _rotate(hv: np.ndarray, n: int, pivots: dict, a, r, live, work=None) -> None:
     """One round's rotations, in place, of hv = [H; V], pivots a of moduli r (live: r >= 1e-18).
 
     Each rotation J annihilates H[p, q]: H <- J+ H J and V <- V J.  The new
@@ -241,9 +243,9 @@ def _rotate(hv: np.ndarray, n: int, pivots: dict, a, r, live) -> None:
     t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(tau, 1.0))
     c = 1.0 / np.hypot(t, 1.0)
     sigma = (t * c / safe) * a  # s e^{i arg a_pq}
-    _mix(hv[:, :, ps], hv[:, :, qs], c, sigma[:, None], mask)
+    _mix(hv[:, :, ps], hv[:, :, qs], c, sigma[:, None], mask, work)
     conj = _FLIP[: len(sigma)] * sigma[:, :, None]
-    _mix(h[:, ps], h[:, qs], c[:, None], conj, None if mask is None else mask[:, None])
+    _mix(h[:, ps], h[:, qs], c[:, None], conj, None if mask is None else mask[:, None], work)
     tr = t * r
     if mask is None:
         h[0, p, p] = app - tr
@@ -253,7 +255,7 @@ def _rotate(hv: np.ndarray, n: int, pivots: dict, a, r, live) -> None:
         h[0, q, q] = np.where(mask, aqq + tr, aqq)
 
 
-def _sweep(hv: np.ndarray, n: int, done: np.ndarray) -> None:
+def _sweep(hv: np.ndarray, n: int, done: np.ndarray, work=None) -> None:
     """One cyclic Jacobi sweep, in place, over hv = [H; V] of shape (parts, 2n, n, N), or H alone.
 
     Per round, each pivot is rotated in exactly the matrices where it has a
@@ -273,11 +275,11 @@ def _sweep(hv: np.ndarray, n: int, done: np.ndarray) -> None:
         rotated = live.any(axis=0)
         count = np.count_nonzero(rotated)
         if 2 * count > len(rotated):
-            _rotate(hv, n, live_pivots, a, r, live)
+            _rotate(hv, n, live_pivots, a, r, live, work)
         elif count:
             idx = np.flatnonzero(rotated)
             sub = hv.take(idx, axis=-1)  # unlike hv[..., idx], keeps the matrix axis innermost
-            _rotate(sub, n, live_pivots, *(x.take(idx, axis=-1) for x in (a, r, live)))
+            _rotate(sub, n, live_pivots, *(x.take(idx, axis=-1) for x in (a, r, live)), work)
             hv[..., idx] = sub
         if len(h) == 2:
             h[1:, pivots[0], pivots[0]] = 0.0  # the diagonal stays real
@@ -290,7 +292,8 @@ def _workspace(size: int, n: int = 4, **extra: int) -> dict:
     A caller that solves chunk after chunk makes one per call, so that
     concurrent callers share nothing, and hands it to every solve (see
     :func:`_jacobi`), which refills its regions in place: ``hv``, the
-    unsorted ``vectors`` and ``w``, and the sorted ``values``.
+    unsorted ``vectors`` and ``w``, the sorted ``values``, and the three
+    temporaries of each mix (see :func:`_mix`).
     ``extra`` names more regions, of so many words per matrix, for the
     caller.  One buffer rather than one array per region also keeps glibc
     from trimming the heap after each call and faulting it back in on the
@@ -298,7 +301,8 @@ def _workspace(size: int, n: int = 4, **extra: int) -> dict:
     freeing a block of its size raises glibc's mmap and trim thresholds
     past it.
     """
-    words = dict(hv=2 * n * n, vectors=n * n, w=n, values=n, **extra)
+    words = dict(hv=2 * n * n, vectors=n * n, w=n, values=n, sigma_x=n * n, conj_y=n * n, cx=n * n,
+                 **extra)
     ends = size * np.cumsum(list(words.values()))
     return dict(zip(words, np.split(np.empty(ends[-1]), ends[:-1])))
 
@@ -345,9 +349,9 @@ def _jacobi(parts, vectors: bool, work=None) -> EigenDecomposition:
         done = _converged(hv, n)
         if done.all():  # an empty stack too
             break
-        _sweep(hv, n, done)
+        _sweep(hv, n, done, work)
     else:
-        raise RuntimeError("Jacobi iteration failed to converge within 100 sweeps")
+        raise RuntimeError(f"Jacobi iteration failed to converge within {_MAX_SWEEPS} sweeps")
     w = _scratch(work, "w", size, n)
     w[...] = hv[0].diagonal(axis1=0, axis2=1)
     order = np.argsort(-w, axis=1, kind="stable")

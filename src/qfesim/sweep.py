@@ -12,6 +12,7 @@ from .detector import DetectorParams, _weights_and_sines
 from .measures import (
     _CHUNK_POINTS,
     GridValues,
+    _gate,
     _qfe_and_ratio,
     _x_concurrence,
     evaluate_grid,
@@ -173,11 +174,11 @@ def golden_section_max(
     return x, func(x)
 
 
-def _qfe_at(fixed: DetectorParams, variable: str, x: float) -> float:
-    """Closed-form fluctuation at one point, with the arithmetic of evaluate_grid."""
-    theta, nu, q = _along(fixed, variable, float(x))
+def _qfe_at(fixed: DetectorParams, variable: str, x) -> np.ndarray:
+    """Closed-form fluctuation at ``x``, a value or an array, by the arithmetic of evaluate_grid."""
+    theta, nu, q = _along(fixed, variable, x)
     mu, upsilon, eta, sin, cos = _weights_and_sines(theta, nu, q)
-    return float(_qfe_and_ratio(_x_concurrence(sin, cos, mu, upsilon, eta))[0])
+    return _qfe_and_ratio(_x_concurrence(sin, cos, mu, upsilon, eta))[0]
 
 
 def find_qfe_peak(
@@ -199,45 +200,43 @@ def find_qfe_peak(
         raise ValueError(f"q bracket must lie in [0, 1), got [{lo}, {hi}]")
 
     xs = np.linspace(lo, hi, _COARSE_STEPS)
-    vals = evaluate_grid(*_along(fixed, variable, xs)).qfe
+    vals = _qfe_at(fixed, variable, xs)
     i = int(np.argmax(vals))
     bracket_lo = float(xs[max(i - 1, 0)])
     bracket_hi = float(xs[min(i + 1, len(xs) - 1)])
     x, v = golden_section_max(
-        lambda y: _qfe_at(fixed, variable, y), bracket_lo, bracket_hi, _PEAK_TOL
+        lambda y: float(_qfe_at(fixed, variable, y)), bracket_lo, bracket_hi, _PEAK_TOL
     )
     if vals[i] > v:
         x, v = float(xs[i]), float(vals[i])
     return PeakResult(location=x, value=v, bracket=(bracket_lo, bracket_hi))
 
 
-def oracle_scan(
-    theta_points: int = 33,
-    nu_values: tuple[float, ...] = (0.0, 0.01, 0.05, 0.1),
-    q_points: int = 100,
-    q_max: float = 0.999,
-) -> OracleScan:
-    """Compare the closed forms against the matrix route.
+def oracle_scan() -> OracleScan:
+    """Compare the closed forms against the matrix route on the fixed ``check`` grid.
 
-    Runs the standard validation grid (theta x nu x q) as one flat grid
-    in (nu, theta, q) order, 1,024 points at a time (13 chunks by
-    default), and returns the worst absolute deviation of the
-    concurrence, the entropy and the squared spin-flip spectrum.  Nothing
-    is gated here: ``qfesim check`` fails when the concurrence or the
-    entropy deviates by more than 1e-9 (``CROSS_CHECK_TOL``), and reports
-    the spectrum deviation without a bound.
+    33 theta in [0, pi/2] x nu in {0, 0.01, 0.05, 0.1} x 100 q in [0, 0.999],
+    as one flat grid in (nu, theta, q) order, 1,024 points at a time (13
+    chunks).  Every chunk passes the gate of ``evaluate_grid(...,
+    cross_check=True)``: CrossCheckError at the first point whose
+    concurrence or entropy deviation is not <= 1e-9.  Returns the worst
+    deviation of the concurrence, the entropy and the squared spin-flip
+    spectrum, which has no bound.
     """
-    thetas = np.linspace(0.0, math.pi / 2.0, theta_points)
-    qs = np.linspace(0.0, q_max, q_points)
-    nu, theta, q = (v.ravel() for v in np.meshgrid(nu_values, thetas, qs, indexing="ij"))
+    thetas = np.linspace(0.0, math.pi / 2.0, 33)
+    qs = np.linspace(0.0, 0.999, 100)
+    nu, theta, q = np.meshgrid((0.0, 0.01, 0.05, 0.1), thetas, qs, indexing="ij")
     worst = np.zeros(3)
-    for chunk in _chunks([theta, nu, q]):
-        deviations = oracle_deviations(evaluate_grid(*chunk))
+    for chunk in _chunks([theta.ravel(), nu.ravel(), q.ravel()]):
+        grid = evaluate_grid(*chunk)
+        deviations = oracle_deviations(grid)
+        _gate(grid, deviations)
+        del grid  # freed before the next chunk's is built
         worst = np.maximum(worst, deviations.max(axis=0, initial=0.0))
     c, entropy, spectrum = worst.tolist()
     return OracleScan(
         max_concurrence_deviation=c,
         max_eigenvalue_deviation=spectrum,
-        points=len(nu_values) * len(thetas) * len(qs),
+        points=nu.size,
         max_entropy_deviation=entropy,
     )

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import tempfile
 import tracemalloc
 
@@ -343,16 +344,51 @@ def test_an_internal_fault_after_the_first_chunk_prints_an_error_line(monkeypatc
 
 
 def test_a_jacobi_fault_in_check_prints_an_error_line(monkeypatch, capsys):
-    from qfesim import sweep
+    from qfesim import qmatrix
 
-    def unconverged(grid):
-        raise RuntimeError("Jacobi iteration failed to converge within 100 sweeps")
-
-    monkeypatch.setattr(sweep, "oracle_deviations", unconverged)
+    monkeypatch.setattr(qmatrix, "_MAX_SWEEPS", 0)  # no solve converges
     code = cli.main(["check"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err == "error: Jacobi iteration failed to converge within 100 sweeps\n"
+    assert captured.err == "error: Jacobi iteration failed to converge within 0 sweeps\n"
+
+
+def test_a_weight_sum_fault_names_the_point(monkeypatch, capsys):
+    from qfesim import detector
+
+    monkeypatch.setattr(detector, "_WEIGHT_SUM_TOL", -1.0)  # every sum is off by more
+    code = cli.main(["state", "--theta", "0.3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, cli.CSV_HEADER + "\n")
+    assert captured.err.startswith("error: weight normalization violated: 2*mu+upsilon+eta = ")
+    assert captured.err.endswith(" at (theta, nu, q) = (0.3, 0.05, 0.0)\n")
+    assert captured.err.count("\n") == 1
+
+
+CONCURRENCE_FAULT = re.compile(
+    r"error: closed-form concurrence \S+ deviates from the matrix route by \S+ "
+    r"\(tolerance 1e-09\) at \(theta, nu, q\) = \((\S+), (\S+), (\S+)\)\n"
+)
+
+
+def test_check_and_an_oracle_sweep_fail_through_one_gate(monkeypatch, capsys):
+    # a 1e-8 relative slip in the closed-form concurrence stays within 1e-9 only where
+    # C < 0.1; both verbs stop at the first point beyond it and name that point
+    from qfesim import measures
+
+    real = measures._x_concurrence
+    monkeypatch.setattr(measures, "_x_concurrence", lambda *args: real(*args) * (1.0 + 1e-8))
+    code = cli.main(["check"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    # the (nu, theta, q) grid's first point with C = sin(2 theta) > 0.1: theta = 2 * pi/64
+    point = (repr(math.pi / 32), "0.0", "0.0")
+    assert CONCURRENCE_FAULT.fullmatch(captured.err).groups() == point
+    code = cli.main(["sweep", "--variable", "q", "--min", "0.2", "--max", "0.5", "--steps", "4",
+                     "--theta", "0.5", "--nu", "0.05", "--oracle"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert CONCURRENCE_FAULT.fullmatch(captured.err).groups() == ("0.5", "0.05", "0.2")
 
 
 def test_sweep_steps_cap(capsys):
@@ -429,6 +465,19 @@ def test_config_key_acts_like_its_flag(key, tmp_path, capsys, monkeypatch):
     by_flag, by_config, without = outcomes
     assert by_config == by_flag
     assert without != by_flag
+
+
+def test_config_oracle_off_leaves_the_cross_check_off(tmp_path, capsys, monkeypatch):
+    from qfesim import measures
+
+    real = measures._spin_flip
+    monkeypatch.setattr(measures, "_spin_flip", lambda eig, work=None: real(eig, work) + 1e-6)
+    config = tmp_path / "preset.cfg"
+    config.write_text("oracle = off\n", encoding="utf-8")
+    assert cli.load_config(str(config)) == {"oracle": False}
+    assert cli.main(ORACLE_SWEEP + ["--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out.count("\n"), captured.err) == (1 + 4, "")
 
 
 @pytest.mark.parametrize("line, message", [
@@ -698,6 +747,12 @@ def test_a_negative_flag_value_reads_like_the_attached_form(argv, flag, value, c
     assert outcomes[0] == outcomes[1]
 
 
+def test_sweep_rejects_an_infinite_bound(capsys):
+    code = cli.main(["sweep", "--variable", "q", "--min", "inf", "--max", "0.5", "--steps", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: sweep bounds must be finite\n")
+
+
 def test_peak_reads_a_negative_infinite_bound(capsys):
     code = cli.main(["peak", "--variable", "q", "--min", "-inf"])
     captured = capsys.readouterr()
@@ -709,6 +764,7 @@ def test_peak_reads_a_negative_infinite_bound(capsys):
     (["sweep", "--steps", "-1e3"], "argument --steps: expected one argument"),
     (["state", "--output", "-x"], "argument --output: expected one argument"),
     (["figure", "--theta", "-1e-3"], "unrecognized arguments: --theta -1e-3"),
+    (["state", "--", "--theta", "-1e-3"], "unrecognized arguments: -- --theta -1e-3"),
 ])
 def test_a_dash_token_that_is_no_value_of_the_flag_stays_an_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -419,6 +419,17 @@ def test_cross_check_error_names_the_point(monkeypatch):
         measures.evaluate_grid(0.3, 0.05, np.linspace(0.0, 0.5, 4), cross_check=True)
 
 
+def test_the_cross_check_gate_fails_a_nan_deviation():
+    # a deviation passes only if it is at most the tolerance, so a NaN never passes
+    grid = measures.evaluate_grid(0.3, 0.05, np.linspace(0.0, 0.5, 4))
+    deviations = measures.oracle_deviations(grid)
+    measures._gate(grid, deviations)
+    deviations[2, 1] = np.nan
+    with pytest.raises(measures.CrossCheckError,
+                       match=r"entropy .* by nan .*\(theta, nu, q\) = \(0\.3, 0\.05, 0\.3333"):
+        measures._gate(grid, deviations)
+
+
 @pytest.mark.parametrize(
     "theta, nu, q",
     [

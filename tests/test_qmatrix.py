@@ -321,9 +321,9 @@ def test_x_states_among_dense_matrices_bit_for_bit(monkeypatch):
     rounds = []  # per sweep: matrices in it, and the matrices rotated in each rotating round
     sweep, rotate = qmatrix._sweep, qmatrix._rotate
 
-    def recording_sweep(hv, n, done):
+    def recording_sweep(hv, n, done, *rest):
         rounds.append((hv.shape[-1], []))
-        sweep(hv, n, done)
+        sweep(hv, n, done, *rest)
 
     def recording_rotate(hv, *rest):
         rounds[-1][1].append(hv.shape[-1])
@@ -482,18 +482,18 @@ def test_gathered_and_retired_matrices_keep_their_lone_bits(dtype, monkeypatch):
     sweeps = []  # per sweep: [H; V], the converged matrices, and each round's live mask
     sweep, rotate = qmatrix._sweep, qmatrix._rotate
 
-    def recording_sweep(hv, n, done):
+    def recording_sweep(hv, n, done, *rest):
         assert hv.strides[-1] == hv.itemsize
         sweeps.append((hv, done.copy(), []))
-        sweep(hv, n, done)
+        sweep(hv, n, done, *rest)
 
-    def recording_rotate(hv, n, pivots, a, r, live):
+    def recording_rotate(hv, n, pivots, a, r, live, *rest):
         assert all(x.strides[-1] == x.itemsize for x in (hv, a, r, live))
         full, _, masks = sweeps[-1]
         mask = np.zeros((len(live), full.shape[-1]), dtype=bool)  # per pivot, in stack rows
         mask[:, gathered_columns(hv, full)] = live
         masks.append((hv.shape[-1], mask))
-        rotate(hv, n, pivots, a, r, live)
+        rotate(hv, n, pivots, a, r, live, *rest)
 
     monkeypatch.setattr(qmatrix, "_sweep", recording_sweep)
     monkeypatch.setattr(qmatrix, "_rotate", recording_rotate)
@@ -545,9 +545,9 @@ def test_a_partly_live_round_keeps_the_lone_bits_in_place_or_gathered(
     rounds = []  # (matrices in the sweep, matrices rotated) per rotating round, in order
     sweep, rotate = qmatrix._sweep, qmatrix._rotate
 
-    def recording_sweep(hv, n, done):
+    def recording_sweep(hv, n, done, *rest):
         rounds.append((hv.shape[-1], []))
-        sweep(hv, n, done)
+        sweep(hv, n, done, *rest)
 
     def recording_rotate(hv, *rest):
         rounds[-1][1].append(hv.shape[-1])

@@ -5,7 +5,7 @@ import pytest
 
 from qfesim import sweep
 from qfesim.detector import DetectorParams
-from qfesim.measures import evaluate_grid, qfe_from_concurrence
+from qfesim.measures import evaluate_grid, oracle_deviations, qfe_from_concurrence
 
 QFE_WORKED = 0.1730857541653741
 C_STAR = 0.5524341245308833      # argmax of C log2((1+sqrt(1-C^2))/C)
@@ -157,11 +157,20 @@ def test_find_qfe_peak_rejects_bad_bracket():
         sweep.find_qfe_peak(fixed, "x", (0.0, 0.5))
 
 
+def _small_check_grid(theta_points, nu_values, q_points):
+    """Worst (concurrence, entropy, spectrum) deviations of a check-like grid, and its size."""
+    thetas = np.linspace(0.0, math.pi / 2.0, theta_points)[:, None]
+    qs = np.linspace(0.0, 0.999, q_points)
+    deviations = np.concatenate([oracle_deviations(evaluate_grid(thetas, nu, qs))
+                                 for nu in nu_values])
+    return deviations.max(axis=0), len(deviations)
+
+
 def test_oracle_scan_small_grid():
-    result = sweep.oracle_scan(theta_points=7, nu_values=(0.0, 0.05), q_points=9)
-    assert result.points == 7 * 2 * 9
-    assert result.max_concurrence_deviation <= 1e-9
-    assert result.max_eigenvalue_deviation <= 1e-10
+    (concurrence, _, spectrum), points = _small_check_grid(7, (0.0, 0.05), 9)
+    assert points == 7 * 2 * 9
+    assert concurrence <= 1e-9
+    assert spectrum <= 1e-10
 
 
 def test_oracle_scan_equals_row_by_row_in_bounded_chunks(monkeypatch):
@@ -240,7 +249,7 @@ def test_peak_coarse_scan_agrees_with_refinement_bits():
 
 
 def test_oracle_scan_reports_entropy_deviation():
-    result = sweep.oracle_scan(theta_points=5, nu_values=(0.0, 1e-4), q_points=6)
-    assert result.points == 5 * 2 * 6
-    assert result.max_entropy_deviation <= 1e-10
-    assert result.max_concurrence_deviation <= 1e-12
+    (concurrence, entropy, _), points = _small_check_grid(5, (0.0, 1e-4), 6)
+    assert points == 5 * 2 * 6
+    assert entropy <= 1e-10
+    assert concurrence <= 1e-12

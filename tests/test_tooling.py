@@ -12,6 +12,9 @@
   stack; every other module solves through ``hermitian_eigen``,
   ``hermitian_eigenvalues``, the density solves above or ``_solve``, each
   of which takes an eigenvalues-only form.
+* The cross-check tolerance, ``CROSS_CHECK_TOL``, is named in ``measures``
+  alone: ``--oracle`` and ``check`` both fail through its one gate,
+  ``measures._gate``, which no other module may reimplement.
 * ``qmatrix`` loads no stack through a ``[..., index]`` subscript, an index
   array or mask after an ellipsis: numpy puts the indexed axis outermost in
   memory, so every later sweep over such a sub-stack would loop over an
@@ -55,6 +58,7 @@ FORBIDDEN_PACKAGES = {"scipy", "mpmath", "sympy", "hypothesis"}
 DENSITY_RULE_NAMES = {"EIGENVALUE_FLOOR", "HERMITIAN_TOL", "TRACE_TOL",
                       "_trace_fault", "_psd_fault", "_in_stack"}
 UNCHECKED_SOLVE_NAMES = {"_unchecked_eigen", "_jacobi"}
+CROSS_CHECK_NAMES = {"CROSS_CHECK_TOL"}
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -116,17 +120,17 @@ def _uses(tree: ast.AST, confined: set[str]) -> list[str]:
     return found
 
 
-def _outside_qmatrix(confined: set[str]) -> dict:
+def _outside(home: str, confined: set[str]) -> dict:
     return {
         path.name: hits
         for path in SOURCES
-        if path.name != "qmatrix.py"
+        if path.name != home
         and (hits := _uses(ast.parse(path.read_text(encoding="utf-8")), confined))
     }
 
 
 def test_only_qmatrix_names_the_density_matrix_rule():
-    assert _outside_qmatrix(DENSITY_RULE_NAMES) == {}
+    assert _outside("qmatrix.py", DENSITY_RULE_NAMES) == {}
 
 
 def test_density_rule_scan_catches_each_form():
@@ -143,7 +147,7 @@ def test_density_rule_scan_catches_each_form():
 
 
 def test_only_qmatrix_names_the_unchecked_solve():
-    assert _outside_qmatrix(UNCHECKED_SOLVE_NAMES) == {}
+    assert _outside("qmatrix.py", UNCHECKED_SOLVE_NAMES) == {}
 
 
 def test_unchecked_solve_scan_catches_each_form():
@@ -163,6 +167,21 @@ def test_unchecked_solve_scan_catches_each_form():
                    "qmatrix._solve(tau, False, False, work)",
                    "qmatrix.density_eigenvalues(rho)"):
         assert not _uses(ast.parse(source), UNCHECKED_SOLVE_NAMES), source
+
+
+def test_only_measures_names_the_cross_check_tolerance():
+    assert _outside("measures.py", CROSS_CHECK_NAMES) == {}
+
+
+def test_cross_check_scan_catches_each_form():
+    for source in (
+        "from .measures import CROSS_CHECK_TOL",
+        "from .measures import CROSS_CHECK_TOL as tol",
+        "from . import measures\nif d > measures.CROSS_CHECK_TOL: pass",
+        "if not deviation <= CROSS_CHECK_TOL: status = 1",
+    ):
+        assert _uses(ast.parse(source), CROSS_CHECK_NAMES), source
+    assert not _uses(ast.parse("from .measures import _gate"), CROSS_CHECK_NAMES)
 
 
 def _ellipsis_gathers(tree: ast.AST) -> list[str]:
